@@ -67,7 +67,6 @@ CellResult run_cell(bool batched, int clients, int txns_per_client,
   options.seed = seed;
   options.decision_transport = db::DecisionTransport::kThreadedNetwork;
   options.network = {.min_delay = kMinDelay, .max_delay = kMaxDelay};
-  options.max_concurrent_rounds = 16;
   if (batched) {
     options.group_commit = true;
     options.decision_batch = 8;

@@ -2,27 +2,11 @@
 
 #include <algorithm>
 #include <set>
-#include <thread>
 
-#include "adversary/basic.h"
 #include "common/check.h"
-#include "sim/simulator.h"
 #include "transport/node.h"
 
 namespace rcommit::db {
-
-namespace {
-
-/// Per-instance seed: the same (seed, txn) mix RecoveryManager uses for its
-/// in-doubt rerun, so a crashed instance and a live one derive their decision
-/// rounds from the same stream. A decision batch mixes its batch id — the
-/// first member's txn id — through the same function, so a sealed batch's
-/// recovery rerun and its live round also share a stream.
-uint64_t instance_seed(uint64_t seed, TxnId txn) {
-  return seed ^ (static_cast<uint64_t>(txn) * 0x9e3779b97f4a7c15ULL);
-}
-
-}  // namespace
 
 MultiShotDb::MultiShotDb(Options options) : options_(std::move(options)) {
   RCOMMIT_CHECK(options_.shard_count >= 1);
@@ -82,7 +66,7 @@ MultiShotDb::Instance MultiShotDb::prepare_phase(TxnId txn,
 
 void MultiShotDb::ensure_group_open(ShardEngine& engine) {
   if (!options_.group_commit || engine.group_open) return;
-  engine.store->wal_begin_group(options_.group_limits);
+  engine.store->wal_begin_group({});
   engine.group_open = true;
 }
 
@@ -111,9 +95,22 @@ void MultiShotDb::flush_wals() {
   flush_groups(all);
 }
 
-TxnOutcome MultiShotDb::decide_phase(const Instance& instance) {
-  RCOMMIT_CHECK(instance.all_voted_commit);
-  return run_union_round(instance.involved, instance.txn);
+TxnOutcome MultiShotDb::decide(const std::vector<const Instance*>& members) {
+  RCOMMIT_CHECK(!members.empty());
+  std::set<int32_t> shard_set;
+  std::vector<TxnId> ids;
+  ids.reserve(members.size());
+  for (const Instance* member : members) {
+    RCOMMIT_CHECK(member->all_voted_commit);
+    shard_set.insert(member->involved.begin(), member->involved.end());
+    ids.push_back(member->txn);
+  }
+  const std::vector<int32_t> shards(shard_set.begin(), shard_set.end());
+  // A singleton decides under its own (seed, txn id) mix with no seal, so
+  // decision_batch == 1 reproduces the unbatched rounds decision for decision.
+  // The seal rides unflushed: it is a recovery hint only.
+  if (members.size() > 1) seal_shards(shards, ids.front(), ids);
+  return run_union_round(shards, ids.front());
 }
 
 TxnOutcome MultiShotDb::run_union_round(const std::vector<int32_t>& shards,
@@ -121,32 +118,12 @@ TxnOutcome MultiShotDb::run_union_round(const std::vector<int32_t>& shards,
   const auto n = static_cast<int32_t>(shards.size());
   if (n == 1) return {Decision::kCommit, true};
 
-  const uint64_t seed = instance_seed(options_.seed, batch_id);
-  const SystemParams params{.n = n, .t = (n - 1) / 2, .k = options_.k};
-  std::vector<std::unique_ptr<sim::Process>> fleet;
-  fleet.reserve(static_cast<size_t>(n));
-  for (int32_t i = 0; i < n; ++i) {
-    fleet.push_back(make_commit_participant(options_.backend, params,
-                                            /*vote=*/1, options_.k));
-  }
-
-  TxnOutcome outcome;
-  std::vector<std::optional<Decision>> decisions;
-  if (options_.decision_transport == DecisionTransport::kSimulator) {
-    sim::SimConfig config;
-    config.seed = seed;
-    config.max_events = options_.max_events;
-    config.record_trace = false;
-    sim::Simulator simulator(config, std::move(fleet),
-                             adversary::make_on_time_adversary());
-    const auto result = simulator.run();
-    decisions = result.decisions;
-  } else {
-    decisions = run_threaded_round(std::move(fleet), seed);
-  }
-
-  outcome.decided = true;
-  outcome.decision = Decision::kAbort;
+  const uint64_t seed = decision_seed(options_.seed, batch_id);
+  const std::vector<std::optional<Decision>> decisions =
+      options_.decision_transport == DecisionTransport::kSimulator
+          ? run_simulated_round(n, seed)
+          : run_threaded_round(n, seed);
+  TxnOutcome outcome{Decision::kAbort, true};
   for (const auto& d : decisions) {
     if (!d.has_value()) outcome.decided = false;
     if (d.has_value() && *d == Decision::kCommit) outcome.decision = Decision::kCommit;
@@ -154,77 +131,35 @@ TxnOutcome MultiShotDb::run_union_round(const std::vector<int32_t>& shards,
   return outcome;
 }
 
-std::vector<std::optional<Decision>> MultiShotDb::run_threaded_round(
-    std::vector<std::unique_ptr<sim::Process>> fleet, uint64_t seed) {
+std::vector<std::optional<Decision>> MultiShotDb::run_threaded_round(int32_t n,
+                                                                     uint64_t seed) {
   // Admission: each round spins up ~n+1 short-lived threads (node hosts plus
   // the network's delivery thread). Running more rounds than cores turns
   // pipelining into scheduler churn, so excess clients wait here — their
   // instances are already prepared, keeping the pipeline full.
-  // Enough rounds in flight to cover their network-delay sleeps even on a
-  // small machine, few enough that node threads don't thrash the scheduler.
-  const int32_t cap =
-      options_.max_concurrent_rounds > 0
-          ? options_.max_concurrent_rounds
-          : std::max(8, static_cast<int32_t>(std::thread::hardware_concurrency()));
   {
     MutexLock lock(rounds_mu_);
-    while (active_rounds_ >= cap) {
+    while (active_rounds_ >= kMaxConcurrentRounds) {
       rounds_cv_.wait_for(rounds_mu_, std::chrono::milliseconds(50));
     }
     ++active_rounds_;
   }
-
-  const auto n = static_cast<int32_t>(fleet.size());
   transport::InMemoryNetwork network(n, seed, options_.network);
-  const auto seeds = derive_seeds(seed ^ 0xf1ee7, n);
-  std::vector<std::unique_ptr<transport::NodeHost>> hosts;
-  hosts.reserve(static_cast<size_t>(n));
-  for (int32_t i = 0; i < n; ++i) {
-    transport::NodeHost::Options nopts;
-    nopts.id = i;
-    nopts.seed = seeds[static_cast<size_t>(i)];
-    // Nodes wake early on message arrival, so a coarser step period costs
-    // no happy-path latency — it only cuts idle-step CPU, which is what
-    // bounds aggregate throughput when many rounds share few cores.
-    nopts.step_period = std::chrono::microseconds(500);
-    hosts.push_back(std::make_unique<transport::NodeHost>(
-        nopts, std::move(fleet[static_cast<size_t>(i)]), network));
-  }
-  network.start();
-  for (auto& host : hosts) host->start();
-
-  // run_fleet polls at a 2ms quantum — fine for one-shot commits, but here
-  // it would put a floor under every instance's latency. Poll at the node
-  // hosts' own step granularity instead.
-  const auto deadline = std::chrono::steady_clock::now() + options_.txn_timeout;
-  bool all_decided = false;
-  while (std::chrono::steady_clock::now() < deadline) {
-    all_decided = true;
-    for (const auto& host : hosts) all_decided = all_decided && host->decided();
-    if (all_decided) break;
-    std::this_thread::sleep_for(std::chrono::microseconds(250));
-  }
-
-  for (auto& host : hosts) host->request_stop();
-  for (auto& host : hosts) host->join();
-  network.stop();
-
-  std::vector<std::optional<Decision>> decisions;
-  decisions.reserve(static_cast<size_t>(n));
-  for (const auto& host : hosts) {
-    if (host->process().decided()) {
-      decisions.emplace_back(host->process().decision());
-    } else {
-      decisions.emplace_back(std::nullopt);
-    }
-  }
-
+  // Nodes wake early on message arrival, so a coarser step period than
+  // run_fleet's default costs no happy-path latency — it only cuts idle-step
+  // CPU, which bounds aggregate throughput when many rounds share few cores.
+  // The decided-poll runs at half that step: the default 2 ms poll would put
+  // a floor under every instance's latency.
+  const transport::FleetResult result = transport::run_fleet(
+      make_commit_fleet(n), network, seed ^ 0xf1ee7, kRoundTimeout,
+      {.step_period = std::chrono::microseconds(500),
+       .poll_period = std::chrono::microseconds(250)});
   {
     MutexLock lock(rounds_mu_);
     --active_rounds_;
   }
   rounds_cv_.notify_one();
-  return decisions;
+  return result.decisions;
 }
 
 void MultiShotDb::apply_phase(const Instance& instance, const TxnOutcome& outcome) {
@@ -262,9 +197,7 @@ TxnOutcome MultiShotDb::execute(int32_t origin_shard, const GeneratedTxn& writes
     // observes is durable.
     outcome = decide_batched(instance);
   } else {
-    outcome = decide_phase(instance);
-    apply_phase(instance, outcome);
-    if (outcome.decided) flush_groups(instance.involved);
+    outcome = run_batch_round({&instance});
   }
   if (!outcome.decided) {
     in_doubt_.fetch_add(1);
@@ -303,10 +236,10 @@ TxnOutcome MultiShotDb::decide_batched(const Instance& instance) {
       // RCOMMIT_ANALYZE_ALLOW(A3): scheduling bookkeeping, not durable state
       decide_leader_active_ = true;
       const auto deadline =
-          std::chrono::steady_clock::now() + options_.batch_collect_window;
+          std::chrono::steady_clock::now() + kBatchCollectWindow;
       while (static_cast<int32_t>(decide_queue_.size()) < options_.decision_batch &&
              std::chrono::steady_clock::now() < deadline) {
-        decide_cv_.wait_for(decide_mu_, options_.batch_collect_window);
+        decide_cv_.wait_for(decide_mu_, kBatchCollectWindow);
       }
       const auto take = std::min(decide_queue_.size(),
                                  static_cast<size_t>(options_.decision_batch));
@@ -322,44 +255,39 @@ TxnOutcome MultiShotDb::decide_batched(const Instance& instance) {
       decide_leader_active_ = false;
     }
     decide_cv_.notify_all();
-    run_batch_round(members);
+    std::vector<const Instance*> instances;
+    instances.reserve(members.size());
+    for (const DecideWaiter* member : members) instances.push_back(member->instance);
+    const TxnOutcome outcome = run_batch_round(instances);
+    {
+      MutexLock lock(decide_mu_);
+      for (DecideWaiter* member : members) {
+        member->outcome = outcome;
+        member->done = true;
+      }
+    }
+    decide_cv_.notify_all();
     // If we drained ourselves, the loop exits via self.done; otherwise our
     // instance is still queued (or in another leader's flight) — keep going.
   }
 }
 
-void MultiShotDb::run_batch_round(const std::vector<DecideWaiter*>& members) {
-  RCOMMIT_CHECK(!members.empty());
+TxnOutcome MultiShotDb::run_batch_round(const std::vector<const Instance*>& members) {
   std::set<int32_t> shard_set;
-  std::vector<TxnId> ids;
-  ids.reserve(members.size());
-  for (const auto* member : members) {
-    shard_set.insert(member->instance->involved.begin(),
-                     member->instance->involved.end());
-    ids.push_back(member->instance->txn);
+  for (const Instance* member : members) {
+    shard_set.insert(member->involved.begin(), member->involved.end());
   }
   const std::vector<int32_t> shards(shard_set.begin(), shard_set.end());
-  const TxnId batch_id = ids.front();
-
   // Durability order: every member's PREPARED must be on disk before the
   // round — the same reason the pipelined path flushes at its Phase A
-  // boundary. The seal rides unflushed; it is a recovery hint only.
+  // boundary. Otherwise a crash between two shards' outcome flushes leaves
+  // a COMMIT on one shard and no trace of the transaction on the other.
   flush_groups(shards);
-  if (members.size() > 1) seal_shards(shards, batch_id, ids);
-
-  const TxnOutcome outcome = run_union_round(shards, batch_id);
-  for (const auto* member : members) apply_phase(*member->instance, outcome);
-  // Outcomes must be durable before any waiter observes them.
+  const TxnOutcome outcome = decide(members);
+  for (const Instance* member : members) apply_phase(*member, outcome);
+  // Outcomes must be durable before any caller observes them.
   if (outcome.decided) flush_groups(shards);
-
-  {
-    MutexLock lock(decide_mu_);
-    for (auto* member : members) {
-      member->outcome = outcome;
-      member->done = true;
-    }
-  }
-  decide_cv_.notify_all();
+  return outcome;
 }
 
 std::vector<TxnOutcome> MultiShotDb::execute_pipelined(
@@ -381,42 +309,26 @@ std::vector<TxnOutcome> MultiShotDb::execute_pipelined(
   // Phase B: decision rounds, in instance order. With decision_batch > 1,
   // consecutive instances fold their vote vector into one round: the
   // lock-table no-voters split off as immediate aborts, and the remaining
-  // unanimous-yes members decide in a single union round sealed under the
-  // batch id (the first yes-member's txn id). Seals stay buffered — they
+  // unanimous-yes members decide() together. Seals stay buffered — they
   // are recovery hints, flushed with the Phase C outcomes.
   const auto chunk = static_cast<size_t>(std::max(1, options_.decision_batch));
   std::vector<TxnOutcome> outcomes(instances.size());
   for (size_t base = 0; base < instances.size(); base += chunk) {
     const size_t end = std::min(instances.size(), base + chunk);
-    std::vector<size_t> yes;
+    std::vector<const Instance*> yes;
     for (size_t i = base; i < end; ++i) {
       if (instances[i].all_voted_commit) {
-        yes.push_back(i);
+        yes.push_back(&instances[i]);
       } else {
         outcomes[i] = {Decision::kAbort, true};
         conflict_aborts_.fetch_add(1);
       }
     }
     if (yes.empty()) continue;
-    if (yes.size() == 1) {
-      // A singleton decides exactly like the unbatched path (same seed mix,
-      // no seal) — decision_batch == 1 therefore reproduces PR 9 rounds
-      // decision for decision.
-      outcomes[yes.front()] = decide_phase(instances[yes.front()]);
-      continue;
+    const TxnOutcome outcome = decide(yes);
+    for (size_t i = base; i < end; ++i) {
+      if (instances[i].all_voted_commit) outcomes[i] = outcome;
     }
-    std::set<int32_t> shard_set;
-    std::vector<TxnId> ids;
-    ids.reserve(yes.size());
-    for (const size_t i : yes) {
-      shard_set.insert(instances[i].involved.begin(), instances[i].involved.end());
-      ids.push_back(instances[i].txn);
-    }
-    const std::vector<int32_t> shards(shard_set.begin(), shard_set.end());
-    const TxnId batch_id = ids.front();
-    seal_shards(shards, batch_id, ids);
-    const TxnOutcome outcome = run_union_round(shards, batch_id);
-    for (const size_t i : yes) outcomes[i] = outcome;
   }
 
   // Phase C: apply, in instance order.

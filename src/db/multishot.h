@@ -19,20 +19,29 @@
 //     (db/locks): the later arrival votes abort, deterministically, and no
 //     commit instance even starts for it.
 //
-// Two decision transports share the same instance semantics:
+// Every decision is one Protocol 2 round (K = kCommitK, db/txn.h), the only
+// protocol RecoveryManager reruns — so an in-doubt instance always recovers
+// to the decision its live round would have reached. Two decision transports
+// share the same instance semantics:
 //
-//   kSimulator        the commit protocol runs on the deterministic simulator
-//                     under the on-time adversary, seeded by (seed, txn id) —
-//                     the exact rerun RecoveryManager performs for an
-//                     in-doubt instance, so a crashed instance recovers to
-//                     the same decision a live one would have reached. This
-//                     makes single-driver pipelines pure functions of
-//                     (options, workload), which is what the multi-txn
-//                     crash-point torture sweep replays from.
-//   kThreadedNetwork  each instance runs over a fresh threaded in-memory
-//                     network with real delays (DistributedDb's transport) —
-//                     the configuration bench_db_multishot (E19) measures,
-//                     where pipelining is the entire throughput win.
+//   kSimulator        the round runs on the deterministic simulator under the
+//                     on-time adversary, seeded by (seed, txn id) —
+//                     run_simulated_round, the exact rerun RecoveryManager
+//                     performs for an in-doubt instance. This makes
+//                     single-driver pipelines pure functions of (options,
+//                     workload), which is what the multi-txn crash-point
+//                     torture sweep replays from.
+//   kThreadedNetwork  each round runs over a fresh threaded in-memory network
+//                     with real delays (transport::run_fleet, as in
+//                     DistributedDb, paced finer) under an admission gate of
+//                     kMaxConcurrentRounds — the configuration
+//                     bench_db_multishot (E19) measures, where pipelining is
+//                     the entire throughput win.
+//
+// All three callers — the unbatched execute(), the threaded batched-decide
+// leader, and execute_pipelined's Phase B — decide through one path,
+// decide(): one round over the union of the members' shards, sealed when the
+// batch has more than one member.
 //
 // Two per-transaction costs are amortizable across batches (PROTOCOL.md
 // §multi-shot):
@@ -40,8 +49,8 @@
 //   group_commit     each shard's WAL appends coalesce into commit groups
 //                    with one flush (and one fault-injection site) per
 //                    group; the engine flushes at its phase boundaries so
-//                    durability ordering — prepares before rounds, outcomes
-//                    before observation — is preserved.
+//                    durability ordering — every PREPARED before any round,
+//                    outcomes before observation — holds on every path.
 //   decision_batch   one Protocol 2 round decides a whole batch of prepared
 //                    transactions (unanimous-yes fast path; mixed batches
 //                    split, with lock-table no-voters aborting immediately).
@@ -120,35 +129,34 @@ struct MultiShotStats {
 
 class MultiShotDb {
  public:
+  /// How long a kThreadedNetwork round may run before its instance is left
+  /// in doubt for RecoveryManager.
+  static constexpr std::chrono::milliseconds kRoundTimeout{2000};
+  /// Cap on simultaneous kThreadedNetwork decision rounds. Each round runs
+  /// ~3 short-lived threads, so an uncapped 64-client fleet collapses into
+  /// scheduler churn; 16 rounds are deep enough to cover the link sleeps
+  /// (bench_db_multishot E19, bench_db_groupcommit E20).
+  static constexpr int32_t kMaxConcurrentRounds = 16;
+  /// How long a threaded batched-decide leader waits for its batch to fill
+  /// before running the round with whatever queued.
+  static constexpr std::chrono::microseconds kBatchCollectWindow{1000};
+
   struct Options {
     int32_t shard_count = 3;
     std::filesystem::path data_dir;  ///< one WAL per shard lives here
-    CommitBackend backend = CommitBackend::kPaperProtocol;
     DecisionTransport decision_transport = DecisionTransport::kSimulator;
     uint64_t seed = 1;
     transport::LinkPolicy network = {};  ///< kThreadedNetwork link timing
-    std::chrono::milliseconds txn_timeout{2000};
-    Tick k = 25;  ///< Protocol 2's K
-    /// Event budget for one kSimulator decision round.
-    int64_t max_events = 200'000;
-    /// Cap on simultaneous kThreadedNetwork decision rounds; 0 picks the
-    /// hardware concurrency. Each round runs ~3 short-lived threads, so an
-    /// uncapped 64-client fleet collapses into scheduler churn — admission
-    /// control keeps throughput scaling (see bench_db_multishot, E19).
-    int32_t max_concurrent_rounds = 0;
     /// Optional WAL fault hook installed on every shard's log (non-owning).
-    /// Only meaningful with a single driver thread (execute_pipelined): the
-    /// injector's site numbering assumes sequential appends.
+    /// Its site numbering assumes sequential appends, so it needs a single
+    /// driver thread (execute_pipelined, or execute() with kSimulator).
     WalFaultHook* wal_fault_hook = nullptr;
     /// Group-commit WAL: each shard's appends coalesce into commit groups
-    /// with ONE flush (and one fault-hook site) per group. The pipelined
-    /// path flushes at its phase boundaries (prepares durable before any
-    /// decision round, outcomes durable before returning); the threaded
-    /// path flushes at the batched-decide leader's round boundaries. Off
+    /// (default WalGroupLimits) with ONE flush (and one fault-hook site) per
+    /// group. Every path flushes the members' PREPAREDs before their
+    /// decision round and the outcomes before returning them. Off
     /// reproduces the PR 9 per-append flushing byte for byte.
     bool group_commit = false;
-    /// Deterministic group auto-flush bounds (group_commit only).
-    WalGroupLimits group_limits = {};
     /// Prepared transactions decided per Protocol 2 round. 1 = one round
     /// per transaction (the ungrouped baseline). >1 folds a batch's vote
     /// vector into one decision round over the union of involved shards:
@@ -156,12 +164,10 @@ class MultiShotDb {
     /// mixed batches split — lock-table no-voters abort immediately and the
     /// yes-voters retry as their own unanimous round. The batch id (the
     /// first member's txn id) seeds the round and is sealed into each
-    /// shard's WAL so recovery reruns one round per batch too.
+    /// shard's WAL so recovery reruns one round per batch too. The
+    /// threaded leader waits up to kBatchCollectWindow for a batch to fill;
+    /// the pipelined path batches by position.
     int32_t decision_batch = 1;
-    /// How long a threaded batched-decide leader waits for the batch to
-    /// fill before running the round with whatever queued (wall-clock;
-    /// kThreadedNetwork only — the pipelined path batches by position).
-    std::chrono::microseconds batch_collect_window{1000};
   };
 
   explicit MultiShotDb(Options options);
@@ -220,26 +226,26 @@ class MultiShotDb {
   TxnId allocate_txn_id(int32_t origin_shard);
   /// Phase 1: lock + stage + durably prepare on every involved shard.
   Instance prepare_phase(TxnId txn, const GeneratedTxn& writes);
-  /// Phase 2: one commit instance's decision round (all participants voted
-  /// commit; lock-table aborts never reach here).
-  TxnOutcome decide_phase(const Instance& instance);
+  /// The one decide path. `members` are a batch's prepared yes-voters (one
+  /// or more; lock-table aborts never reach here). They decide in ONE round
+  /// over the union of their shards; a batch of more than one is first
+  /// sealed under its batch id, the first member's txn id. Callers make the
+  /// members' PREPAREDs durable before calling.
+  TxnOutcome decide(const std::vector<const Instance*>& members);
   /// One decision round over `shards` (ascending), seeded by mixing
-  /// `batch_id` into the engine seed — the shared core of decide_phase and
-  /// the batched paths.
+  /// `batch_id` into the engine seed.
   TxnOutcome run_union_round(const std::vector<int32_t>& shards, TxnId batch_id);
   /// Threaded batched decide: queue the instance, let a leader fold up to
   /// decision_batch waiters into one round, return the decided-and-applied
   /// outcome. Leadership ends before the round runs, so batched rounds stay
   /// concurrent under the admission gate.
   TxnOutcome decide_batched(const Instance& instance);
-  /// Runs one leader-drained batch: flush prepares, seal, one union round,
-  /// apply + flush outcomes, publish to the waiters.
-  void run_batch_round(const std::vector<DecideWaiter*>& members);
-  /// One threaded decision round under the admission gate: fleet over a
-  /// fresh InMemoryNetwork, polled at fine granularity until every node
-  /// decides or txn_timeout expires.
-  std::vector<std::optional<Decision>> run_threaded_round(
-      std::vector<std::unique_ptr<sim::Process>> fleet, uint64_t seed);
+  /// The threaded callers' durable round: flush the members' prepares,
+  /// decide(), apply, flush the outcomes.
+  TxnOutcome run_batch_round(const std::vector<const Instance*>& members);
+  /// One threaded decision round under the admission gate: run_fleet over a
+  /// fresh InMemoryNetwork until every node decides or kRoundTimeout expires.
+  std::vector<std::optional<Decision>> run_threaded_round(int32_t n, uint64_t seed);
   /// Phase 3: apply the decision on every involved shard.
   void apply_phase(const Instance& instance, const TxnOutcome& outcome);
   /// Appends the batch seal to every shard in `shards` (buffered under

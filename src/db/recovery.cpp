@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <set>
 
-#include "adversary/basic.h"
 #include "common/check.h"
 #include "db/txn.h"
-#include "sim/simulator.h"
 
 namespace rcommit::db {
 
@@ -168,23 +166,11 @@ Decision RecoveryManager::rerun_decision(
   if (prepared_shards.size() == 1) {
     return Decision::kCommit;  // a lone prepared shard may commit
   }
-  const auto n = static_cast<int32_t>(prepared_shards.size());
-  const SystemParams params{.n = n, .t = (n - 1) / 2, .k = options_.k};
-  std::vector<std::unique_ptr<sim::Process>> fleet;
-  for (int32_t i = 0; i < n; ++i) {
-    fleet.push_back(make_commit_participant(CommitBackend::kPaperProtocol,
-                                            params, /*vote=*/1, options_.k));
-  }
-  sim::SimConfig config;
-  config.seed =
-      options_.seed ^ (static_cast<uint64_t>(mix_id) * 0x9e3779b97f4a7c15ULL);
-  config.max_events = options_.max_events;
-  config.record_trace = false;
-  sim::Simulator simulator(config, std::move(fleet),
-                           adversary::make_on_time_adversary());
-  const auto result = simulator.run();
+  const auto decisions =
+      run_simulated_round(static_cast<int32_t>(prepared_shards.size()),
+                          decision_seed(options_.seed, mix_id));
   Decision decision = Decision::kAbort;
-  for (const auto& d : result.decisions) {
+  for (const auto& d : decisions) {
     if (d.has_value() && *d == Decision::kCommit) decision = Decision::kCommit;
   }
   return decision;

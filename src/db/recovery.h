@@ -21,7 +21,9 @@
 //      shards apply the same one. The rerun executes on the deterministic
 //      simulator under the on-time adversary, so recovery is a pure function
 //      of (seed, WAL contents) — which is what makes crash-point sweeps
-//      replayable from (seed, site) alone.
+//      replayable from (seed, site) alone. It is the very round MultiShotDb
+//      runs live (db/txn.h run_simulated_round: Protocol 2, K = kCommitK,
+//      kRoundMaxEvents), so nothing here can drift from the live engine.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +81,6 @@ class RecoveryManager {
  public:
   struct Options {
     uint64_t seed = 1;
-    Tick k = 25;
-    /// Event budget for the deterministic protocol rerun (rule 3).
-    int64_t max_events = 200'000;
     /// Participant id of each entry in `shards`, parallel to that vector.
     /// Empty means identity (shard i has id i) — correct for DistributedDb.
     /// RPC deployments whose shard node ids differ from vector positions

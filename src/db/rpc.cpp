@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "db/txn.h"
 #include "transport/wire.h"
 
 namespace rcommit::db {
@@ -316,8 +317,8 @@ void ShardServer::open_session(const PrepareRequest& request) {
   popts.params = SystemParams{.n = n, .t = (n - 1) / 2, .k = options_.k};
   popts.initial_vote = vote;
   session.process = std::make_unique<protocol::CommitProcess>(popts);
-  session.tape = std::make_unique<RandomTape>(
-      options_.seed ^ (static_cast<uint64_t>(request.txn()) * 0x9e3779b97f4a7c15ULL));
+  session.tape =
+      std::make_unique<RandomTape>(decision_seed(options_.seed, request.txn()));
 
   // Replay tunnelled messages that beat the prepare here.
   if (auto it = early_.find(request.txn()); it != early_.end()) {

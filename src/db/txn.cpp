@@ -1,9 +1,11 @@
 #include "db/txn.h"
 
+#include "adversary/basic.h"
 #include "baselines/q3pc.h"
 #include "baselines/threepc.h"
 #include "baselines/twopc.h"
 #include "common/check.h"
+#include "sim/simulator.h"
 #include "transport/node.h"
 
 namespace rcommit::db {
@@ -60,11 +62,32 @@ std::unique_ptr<sim::Process> make_commit_participant(CommitBackend backend,
   return nullptr;
 }
 
+std::vector<std::unique_ptr<sim::Process>> make_commit_fleet(int32_t n) {
+  const SystemParams params{.n = n, .t = (n - 1) / 2, .k = kCommitK};
+  std::vector<std::unique_ptr<sim::Process>> fleet;
+  fleet.reserve(static_cast<size_t>(n));
+  for (int32_t i = 0; i < n; ++i) {
+    fleet.push_back(make_commit_participant(CommitBackend::kPaperProtocol, params,
+                                            /*vote=*/1, kCommitK));
+  }
+  return fleet;
+}
+
+std::vector<std::optional<Decision>> run_simulated_round(int32_t n, uint64_t seed) {
+  sim::SimConfig config;
+  config.seed = seed;
+  config.max_events = kRoundMaxEvents;
+  config.record_trace = false;
+  sim::Simulator simulator(config, make_commit_fleet(n),
+                           adversary::make_on_time_adversary());
+  return simulator.run().decisions;
+}
+
 std::unique_ptr<sim::Process> DistributedDb::make_participant(int32_t index, int32_t n,
                                                               int vote) const {
   (void)index;
-  const SystemParams params{.n = n, .t = (n - 1) / 2, .k = options_.k};
-  return make_commit_participant(options_.backend, params, vote, options_.k);
+  const SystemParams params{.n = n, .t = (n - 1) / 2, .k = kCommitK};
+  return make_commit_participant(options_.backend, params, vote, kCommitK);
 }
 
 TxnOutcome DistributedDb::execute(

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -34,12 +35,36 @@ struct TxnOutcome {
   bool decided = true;  ///< false if the commit protocol timed out undecided
 };
 
+/// Protocol 2's K, in node steps, for every decision round the engines run.
+/// A live round and recovery's rerun of it must agree on K, so it is fixed.
+inline constexpr Tick kCommitK = 25;
+/// Event budget of one simulated decision round.
+inline constexpr int64_t kRoundMaxEvents = 200'000;
+
 /// Builds one commit-protocol participant with the given initial vote.
 /// Shared by DistributedDb's per-transaction fleets and MultiShotDb's
 /// pipelined commit instances; baselines derive their timeout as 8K.
 std::unique_ptr<sim::Process> make_commit_participant(CommitBackend backend,
                                                       const SystemParams& params,
                                                       int vote, Tick k);
+
+/// The seed of the decision round for instance or batch `id` (a txn id, or a
+/// decision batch's id): the one mix MultiShotDb's live rounds and
+/// RecoveryManager's reruns share, so both derive a round from one stream.
+/// ShardServer seeds its per-session random tapes with it too.
+[[nodiscard]] constexpr uint64_t decision_seed(uint64_t seed, int64_t id) {
+  return seed ^ (static_cast<uint64_t>(id) * 0x9e3779b97f4a7c15ULL);
+}
+
+/// One decision round's fleet: `n` Protocol 2 participants, all voting
+/// commit, with K = kCommitK.
+std::vector<std::unique_ptr<sim::Process>> make_commit_fleet(int32_t n);
+
+/// Runs make_commit_fleet(n) on the deterministic simulator under the on-time
+/// adversary — MultiShotDb's kSimulator round and RecoveryManager's rule-3
+/// rerun alike, so a crashed instance recovers to its live decision. Returns
+/// each participant's decision; nullopt = undecided within kRoundMaxEvents.
+std::vector<std::optional<Decision>> run_simulated_round(int32_t n, uint64_t seed);
 
 class DistributedDb {
  public:
@@ -50,7 +75,6 @@ class DistributedDb {
     uint64_t seed = 1;
     transport::LinkPolicy network = {};  ///< delay/drop injection
     std::chrono::milliseconds txn_timeout{2000};
-    Tick k = 25;  ///< Protocol 2's K, in node steps
     /// Optional WAL fault hook, installed on every shard's log (non-owning).
     /// The crash-point torture suite (src/faultinject) uses this to kill the
     /// database at a chosen append; production paths leave it null.

@@ -64,8 +64,6 @@ std::map<db::TxnId, TxnRef> run_multi_workload(
   mopts.data_dir = options.scratch_dir;
   mopts.seed = options.seed;
   mopts.decision_transport = db::DecisionTransport::kSimulator;
-  mopts.k = options.k;
-  mopts.max_events = options.max_events;
   mopts.wal_fault_hook = &injector;
   mopts.group_commit = options.group_commit;
   mopts.decision_batch = options.decision_batch;
@@ -141,9 +139,7 @@ std::string MultiTortureOptions::serialize() const {
       << "keys_per_shard=" << keys_per_shard << "\n"
       << "group_commit=" << (group_commit ? 1 : 0) << "\n"
       << "decision_batch=" << decision_batch << "\n"
-      << "seed=" << seed << "\n"
-      << "k=" << k << "\n"
-      << "max_events=" << max_events << "\n";
+      << "seed=" << seed << "\n";
   return out.str();
 }
 
@@ -167,8 +163,6 @@ MultiTortureOptions MultiTortureOptions::deserialize(const std::string& text) {
     else if (key == "group_commit") options.group_commit = std::stol(value) != 0;
     else if (key == "decision_batch") options.decision_batch = static_cast<int32_t>(std::stol(value));
     else if (key == "seed") options.seed = std::stoull(value);
-    else if (key == "k") options.k = std::stoll(value);
-    else if (key == "max_events") options.max_events = std::stoll(value);
     else RCOMMIT_CHECK_MSG(false, "unknown config key '" << key << "'");
   }
   return options;
@@ -197,9 +191,7 @@ CrashPointResult run_multi_crash_point(const MultiTortureOptions& options,
         options.scratch_dir / ("shard-" + std::to_string(i) + ".wal")));
     ptrs.push_back(stores.back().get());
   }
-  db::RecoveryManager recovery(ptrs, {.seed = options.seed ^ 0x5ec0feULL,
-                                      .k = options.k,
-                                      .max_events = options.max_events});
+  db::RecoveryManager recovery(ptrs, {.seed = options.seed ^ 0x5ec0feULL});
   result.report = recovery.resolve_all();
 
   for (int32_t i = 0; i < options.shard_count; ++i) {

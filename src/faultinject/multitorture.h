@@ -52,8 +52,6 @@ struct MultiTortureOptions {
   uint64_t seed = 1;
   /// Scratch directory for the WALs; wiped and recreated per run.
   std::filesystem::path scratch_dir;
-  Tick k = 25;  ///< Protocol 2's K for the simulated decision rounds
-  int64_t max_events = 200'000;
 
   /// Key=value form (scratch_dir excluded); round-trips via deserialize.
   [[nodiscard]] std::string serialize() const;

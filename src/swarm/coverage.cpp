@@ -9,8 +9,8 @@
 
 #include "common/check.h"
 #include "common/codec.h"
+#include "common/json.h"
 #include "swarm/artifacts.h"
-#include "swarm/json.h"
 #include "swarm/pool.h"
 #include "swarm/shrink.h"
 
@@ -455,7 +455,7 @@ SearchSummary run_search(const SearchOptions& options) {
 }
 
 std::string SearchSummary::json(const SearchOptions& options) const {
-  JsonWriter json;
+  json::JsonWriter json;
   json.begin_object();
   json.key("search");
   json.begin_object();

@@ -4,9 +4,8 @@
 #include <optional>
 
 #include "common/check.h"
-
+#include "common/json.h"
 #include "swarm/artifacts.h"
-#include "swarm/json.h"
 #include "swarm/pool.h"
 #include "swarm/shrink.h"
 
@@ -14,7 +13,7 @@ namespace rcommit::swarm {
 
 namespace {
 
-void emit_samples(JsonWriter& json, const char* name, const Samples& samples) {
+void emit_samples(json::JsonWriter& json, const char* name, const Samples& samples) {
   json.key(name);
   json.begin_object();
   json.key("count").value(samples.count());
@@ -24,7 +23,7 @@ void emit_samples(JsonWriter& json, const char* name, const Samples& samples) {
   json.end_object();
 }
 
-void emit_matrix(JsonWriter& json, const MatrixSpec& spec) {
+void emit_matrix(json::JsonWriter& json, const MatrixSpec& spec) {
   json.key("matrix");
   json.begin_object();
   json.key("protocols");
@@ -46,7 +45,7 @@ void emit_matrix(JsonWriter& json, const MatrixSpec& spec) {
   json.end_object();
 }
 
-void emit_aggregate_body(JsonWriter& json, const SwarmSummary& summary,
+void emit_aggregate_body(json::JsonWriter& json, const SwarmSummary& summary,
                          const MatrixSpec& spec) {
   emit_matrix(json, spec);
   json.key("cells_total").value(summary.cells_total);
@@ -92,7 +91,7 @@ void emit_aggregate_body(JsonWriter& json, const SwarmSummary& summary,
 }  // namespace
 
 std::string SwarmSummary::aggregate_json(const MatrixSpec& spec) const {
-  JsonWriter json;
+  json::JsonWriter json;
   json.begin_object();
   emit_aggregate_body(json, *this, spec);
   json.end_object();
@@ -100,7 +99,7 @@ std::string SwarmSummary::aggregate_json(const MatrixSpec& spec) const {
 }
 
 std::string SwarmSummary::full_json(const MatrixSpec& spec) const {
-  JsonWriter json;
+  json::JsonWriter json;
   json.begin_object();
   emit_aggregate_body(json, *this, spec);
   json.key("perf");

@@ -119,7 +119,7 @@ void NodeHost::run_loop() {
 
 FleetResult run_fleet(std::vector<std::unique_ptr<sim::Process>> processes,
                       Network& network, uint64_t seed,
-                      std::chrono::milliseconds timeout) {
+                      std::chrono::milliseconds timeout, FleetPacing pacing) {
   const auto n = static_cast<int32_t>(processes.size());
   RCOMMIT_CHECK(n == network.n());
   auto seeds = derive_seeds(seed, n);
@@ -130,6 +130,7 @@ FleetResult run_fleet(std::vector<std::unique_ptr<sim::Process>> processes,
     NodeHost::Options options;
     options.id = i;
     options.seed = seeds[static_cast<size_t>(i)];
+    options.step_period = pacing.step_period;
     hosts.push_back(std::make_unique<NodeHost>(options, std::move(processes[static_cast<size_t>(i)]),
                                                network));
   }
@@ -142,7 +143,7 @@ FleetResult run_fleet(std::vector<std::unique_ptr<sim::Process>> processes,
     all_decided = true;
     for (const auto& host : hosts) all_decided = all_decided && host->decided();
     if (all_decided) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    std::this_thread::sleep_for(pacing.poll_period);
   }
 
   for (auto& host : hosts) host->request_stop();

@@ -82,8 +82,14 @@ struct FleetResult {
   std::vector<std::optional<Decision>> decisions;
 };
 
+/// How run_fleet paces its nodes and its own wait for their decisions.
+struct FleetPacing {
+  std::chrono::microseconds step_period{200};  ///< every node's step period
+  std::chrono::microseconds poll_period{2000};  ///< between decided() checks
+};
+
 FleetResult run_fleet(std::vector<std::unique_ptr<sim::Process>> processes,
                       Network& network, uint64_t seed,
-                      std::chrono::milliseconds timeout);
+                      std::chrono::milliseconds timeout, FleetPacing pacing = {});
 
 }  // namespace rcommit::transport

@@ -11,7 +11,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "db/multishot.h"
+#include "db/recovery.h"
+#include "faultinject/injector.h"
 #include "faultinject/multitorture.h"
 
 namespace rcommit::faultinject {
@@ -121,6 +127,75 @@ TEST_F(MultiShotTortureFixture, GroupBoundaryCrashIsReproducible) {
   EXPECT_TRUE(baseline.ok()) << baseline.serialize();
 }
 
+// --- the unbatched execute() path under group commit ------------------------------
+
+/// One 2-shard execute() — group commit on, one transaction per round,
+/// simulator rounds — run under `plan` and then recovered from the WALs.
+/// Returns every violation of all-or-none and of the driver's observed
+/// outcome surviving the crash; `sites` is the number of sites reached.
+std::vector<std::string> crash_single_execute(const fs::path& dir,
+                                              const FaultPlan& plan,
+                                              int64_t& sites) {
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  FaultInjector injector(plan);
+  db::MultiShotDb::Options options;
+  options.shard_count = 2;
+  options.data_dir = dir;
+  options.seed = 5;
+  options.decision_transport = db::DecisionTransport::kSimulator;
+  options.wal_fault_hook = &injector;
+  options.group_commit = true;
+  options.decision_batch = 1;
+  std::optional<db::TxnOutcome> observed;
+  try {
+    db::MultiShotDb database(options);
+    observed = database.execute(0, {{0, {{"a", "1"}}}, {1, {{"b", "1"}}}});
+  } catch (const db::CrashInjected&) {
+  }
+  sites = injector.sites_seen();
+
+  db::KvStore shard0(dir / "shard-0.wal");
+  db::KvStore shard1(dir / "shard-1.wal");
+  db::RecoveryManager recovery({&shard0, &shard1}, {.seed = 5});
+  (void)recovery.resolve_all();
+  std::vector<std::string> errors;
+  const bool on0 = shard0.get("a").has_value();
+  const bool on1 = shard1.get("b").has_value();
+  if (on0 != on1) {
+    errors.push_back("installed on shard " + std::string(on0 ? "0" : "1") +
+                     " only");
+  }
+  if (observed.has_value() && observed->decided &&
+      (observed->decision == Decision::kCommit) != (on0 && on1)) {
+    errors.push_back("the observed outcome did not survive recovery");
+  }
+  return errors;
+}
+
+TEST_F(MultiShotTortureFixture, GroupCommitSingleExecuteIsAllOrNone) {
+  // Every PREPARED must be durable before the decision round on the
+  // unbatched execute() path too: otherwise a crash between the two shards'
+  // outcome flushes leaves a commit record on one shard and nothing at all
+  // on the other, and recovery installs the transaction on one shard only.
+  int64_t sites = 0;
+  ASSERT_TRUE(crash_single_execute(dir_ / "enumerate", FaultPlan::none(), sites)
+                  .empty());
+  ASSERT_GT(sites, 0);
+  int crash_points = 0;
+  for (int64_t site = 0; site < sites; ++site) {
+    for (const FaultKind kind : SweepOptions{}.kinds) {
+      int64_t reached = 0;
+      const FaultPlan plan = FaultPlan::wal_fault_at(site, kind, 7);
+      for (const auto& error : crash_single_execute(dir_ / "point", plan, reached)) {
+        ADD_FAILURE() << "site " << site << " " << to_string(kind) << ": " << error;
+      }
+      ++crash_points;
+    }
+  }
+  EXPECT_EQ(crash_points, sites * 5);
+}
+
 TEST_F(MultiShotTortureFixture, GroupOptionsRoundTripAndDefaultsAreLegacy) {
   MultiTortureOptions options;
   options.group_commit = true;
@@ -134,8 +209,7 @@ TEST_F(MultiShotTortureFixture, GroupOptionsRoundTripAndDefaultsAreLegacy) {
   std::string legacy;
   for (const auto& line : {std::string("shard_count=3"), std::string("batches=3"),
                            std::string("batch_size=8"), std::string("fanout=2"),
-                           std::string("keys_per_shard=4"), std::string("seed=1"),
-                           std::string("k=25"), std::string("max_events=200000")}) {
+                           std::string("keys_per_shard=4"), std::string("seed=1")}) {
     legacy += line + "\n";
   }
   const auto old = MultiTortureOptions::deserialize(legacy);
