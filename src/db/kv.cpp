@@ -1,41 +1,60 @@
 #include "db/kv.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 
 namespace rcommit::db {
 
-KvStore::KvStore(const std::filesystem::path& wal_path)
-    : wal_(std::make_unique<WriteAheadLog>(wal_path)) {
-  for (const auto& record : wal_->replay()) {
-    switch (record.type) {
-      case WalRecordType::kBegin:
-        staged_[record.txn_id];  // ensure the entry exists
-        break;
-      case WalRecordType::kWrite:
-        staged_[record.txn_id].writes.push_back({record.key, record.value});
-        break;
-      case WalRecordType::kPrepared:
-        staged_[record.txn_id].prepared = true;
-        staged_[record.txn_id].participants = decode_participant_list(record.value);
-        break;
-      case WalRecordType::kCommit: {
-        auto it = staged_.find(record.txn_id);
-        if (it != staged_.end()) {
-          apply(it->second);
-          staged_.erase(it);
-        }
-        break;
-      }
-      case WalRecordType::kAbort:
-        staged_.erase(record.txn_id);
-        break;
-      case WalRecordType::kSnapshot:
-        data_[record.key] = record.value;
-        break;
-      case WalRecordType::kBatchSeal:
-        break;  // a recovery hint for RecoveryManager; carries no shard state
+namespace {
+
+/// `into` ∪ `more`, sorted and without duplicates.
+template <typename T>
+void merge_sorted(std::vector<T>& into, const std::vector<T>& more) {
+  into.insert(into.end(), more.begin(), more.end());
+  std::sort(into.begin(), into.end());
+  into.erase(std::unique(into.begin(), into.end()), into.end());
+}
+
+}  // namespace
+
+void ShardSurvey::add(const WalRecord& record) {
+  switch (record.type) {
+    case WalRecordType::kBegin:
+    case WalRecordType::kWrite: {
+      Txn& txn = txns[record.txn_id];
+      if (txn.status == ShardTxnStatus::kUnknown) txn.status = ShardTxnStatus::kStagedOnly;
+      break;
     }
+    case WalRecordType::kPrepared:
+      prepared(record.txn_id, decode_participant_list(record.value));
+      break;
+    case WalRecordType::kCommit:
+      txns[record.txn_id].status = ShardTxnStatus::kCommitted;
+      break;
+    case WalRecordType::kAbort:
+      txns[record.txn_id].status = ShardTxnStatus::kAborted;
+      break;
+    case WalRecordType::kSnapshot:
+      break;  // checkpointed committed state; no per-txn status
+    case WalRecordType::kBatchSeal:
+      // The same seal is appended to every shard its batch touched; a torn
+      // group can leave it on a strict subset, so readers merge across shards.
+      merge_sorted(seals[record.txn_id], decode_txn_list(record.value));
+      break;
   }
+}
+
+void ShardSurvey::prepared(TxnId txn_id, const std::vector<int32_t>& participants) {
+  Txn& txn = txns[txn_id];
+  txn.status = ShardTxnStatus::kPrepared;
+  if (!participants.empty()) merge_sorted(txn.participants, participants);
+}
+
+KvStore::KvStore(const std::filesystem::path& wal_path) {
+  // One decode: the WAL's tail scan hands every intact record to replay().
+  wal_ = std::make_unique<WriteAheadLog>(
+      wal_path, [this](WalRecord&& record) { replay(std::move(record)); });
   // Unprepared leftovers died before voting: they can only abort.
   std::erase_if(staged_, [](const auto& entry) { return !entry.second.prepared; });
   // Re-acquire locks for in-doubt transactions: their outcome is pending and
@@ -45,6 +64,43 @@ KvStore::KvStore(const std::filesystem::path& wal_path)
       RCOMMIT_CHECK_MSG(locks_.try_lock(write.key, txn),
                         "conflicting in-doubt transactions in WAL");
     }
+  }
+}
+
+void KvStore::replay(WalRecord&& record) {
+  // PREPARED's participant list is decoded once, below, for both uses.
+  if (record.type != WalRecordType::kPrepared) survey_.add(record);
+  switch (record.type) {
+    case WalRecordType::kBegin:
+      staged_[record.txn_id];  // ensure the entry exists
+      break;
+    case WalRecordType::kWrite:
+      staged_[record.txn_id].writes.push_back(
+          {std::move(record.key), std::move(record.value)});
+      break;
+    case WalRecordType::kPrepared: {
+      Staged& staged = staged_[record.txn_id];
+      staged.prepared = true;
+      staged.participants = decode_participant_list(record.value);
+      survey_.prepared(record.txn_id, staged.participants);
+      break;
+    }
+    case WalRecordType::kCommit: {
+      auto it = staged_.find(record.txn_id);
+      if (it != staged_.end()) {
+        apply(it->second);
+        staged_.erase(it);
+      }
+      break;
+    }
+    case WalRecordType::kAbort:
+      staged_.erase(record.txn_id);
+      break;
+    case WalRecordType::kSnapshot:
+      data_[std::move(record.key)] = std::move(record.value);
+      break;
+    case WalRecordType::kBatchSeal:
+      break;  // a recovery hint for RecoveryManager; carries no shard state
   }
 }
 
@@ -77,6 +133,7 @@ bool KvStore::prepare(TxnId txn, const std::vector<KvWrite>& writes,
     throw;
   }
   staged_[txn] = Staged{writes, participants, /*prepared=*/true};
+  survey_backlog_.push_back({txn, ShardTxnStatus::kPrepared, participants});
   return true;
 }
 
@@ -85,6 +142,7 @@ void KvStore::commit(TxnId txn) {
   RCOMMIT_CHECK_MSG(it != staged_.end() && it->second.prepared,
                     "commit of unprepared transaction " << txn);
   wal_->append({WalRecordType::kCommit, txn, "", ""});
+  survey_backlog_.push_back({txn, ShardTxnStatus::kCommitted, {}});
   apply(it->second);
   staged_.erase(it);
   locks_.unlock_all(txn);
@@ -95,9 +153,11 @@ void KvStore::abort(TxnId txn) {
   // entry must survive, or a caller that catches the exception would see the
   // transaction gone from memory while the log still says prepared — and a
   // retried abort() would silently skip the kAbort record.
-  if (staged_.count(txn) > 0) {
+  auto it = staged_.find(txn);
+  if (it != staged_.end()) {
     wal_->append({WalRecordType::kAbort, txn, "", ""});
-    staged_.erase(txn);
+    survey_backlog_.push_back({txn, ShardTxnStatus::kAborted, {}});
+    staged_.erase(it);
   }
   locks_.unlock_all(txn);
 }
@@ -114,6 +174,23 @@ std::vector<TxnId> KvStore::in_doubt() const {
     if (staged.prepared) out.push_back(txn);
   }
   return out;
+}
+
+const ShardSurvey& KvStore::survey() const {
+  for (const auto& change : survey_backlog_) {
+    if (change.status == ShardTxnStatus::kPrepared) {
+      survey_.prepared(change.txn, change.participants);
+    } else {
+      survey_.txns[change.txn].status = change.status;
+    }
+  }
+  survey_backlog_.clear();
+  return survey_;
+}
+
+bool KvStore::is_in_doubt(TxnId txn) const {
+  const auto it = staged_.find(txn);
+  return it != staged_.end() && it->second.prepared;
 }
 
 void KvStore::set_fault_hook(WalFaultHook* hook) {
@@ -136,6 +213,7 @@ const WalStats& KvStore::wal_stats() const { return wal_->stats(); }
 
 void KvStore::seal_batch(int64_t batch_id, const std::vector<TxnId>& members) {
   wal_->append({WalRecordType::kBatchSeal, batch_id, "", encode_txn_list(members)});
+  merge_sorted(survey_.seals[batch_id], members);
 }
 
 void KvStore::checkpoint() {
@@ -153,6 +231,8 @@ void KvStore::checkpoint() {
   {
     WriteAheadLog fresh(tmp_path);
     fresh.set_fault_hook(fault_hook_);
+    // One group, one flush: the file is invisible until the rename below.
+    fresh.begin_group(kSingleFlushGroup);
     for (const auto& [key, value] : data_) {
       fresh.append({WalRecordType::kSnapshot, 0, key, value});
     }
@@ -168,6 +248,14 @@ void KvStore::checkpoint() {
                       encode_participant_list(staged.participants)});
       }
     }
+    fresh.end_group();
+  }
+  // The survey the compacted log replays to: its staged transactions only.
+  survey_ = {};
+  survey_backlog_.clear();
+  for (const auto& [txn, staged] : staged_) {
+    survey_.txns[txn].status = ShardTxnStatus::kStagedOnly;
+    if (staged.prepared) survey_.prepared(txn, staged.participants);
   }
   // The rename is the commit point of the compaction.
   wal_.reset();  // release the append handle to the old log

@@ -5,6 +5,11 @@
 // discarded by the global outcome. Recovery replays the WAL; transactions
 // that were prepared but have no recorded outcome surface as "in doubt" —
 // the state whose resolution is exactly the transaction commit problem.
+//
+// Opening a store reads and decodes its log once: the same pass that finds
+// the valid tail rebuilds the committed state, the staged transactions and
+// the store's ShardSurvey, the per-transaction index RecoveryManager
+// classifies in-doubt transactions from.
 #pragma once
 
 #include <cstdint>
@@ -12,6 +17,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "db/locks.h"
@@ -22,6 +28,41 @@ namespace rcommit::db {
 struct KvWrite {
   std::string key;
   std::string value;
+};
+
+/// What one shard's log records about one transaction.
+enum class ShardTxnStatus {
+  kUnknown,     ///< no record of the transaction
+  kStagedOnly,  ///< BEGIN/WRITE records but no PREPARED
+  kPrepared,    ///< PREPARED, no outcome
+  kCommitted,
+  kAborted,
+};
+
+/// Every transaction's status on one shard, as replaying that shard's log
+/// from the start says: the shard's share of RecoveryManager's survey.
+struct ShardSurvey {
+  struct Txn {
+    ShardTxnStatus status = ShardTxnStatus::kUnknown;
+    /// Union of the participant lists of the txn's PREPARED records, sorted.
+    std::vector<int32_t> participants;
+
+    bool operator==(const Txn&) const = default;
+  };
+
+  /// Hashed: the replay at open inserts one entry per transaction the log
+  /// names, and resolve_all looks each pending one up on every shard.
+  std::unordered_map<TxnId, Txn> txns;
+  /// kBatchSeal records: batch id -> member instance ids, sorted, merged
+  /// over every seal of that batch in the log.
+  std::map<int64_t, std::vector<TxnId>> seals;
+
+  /// Folds one record in, in log order.
+  void add(const WalRecord& record);
+  /// Folds in a PREPARED record carrying `participants`.
+  void prepared(TxnId txn, const std::vector<int32_t>& participants);
+
+  bool operator==(const ShardSurvey&) const = default;
 };
 
 class KvStore {
@@ -59,13 +100,20 @@ class KvStore {
   /// Transactions recovered from the WAL as prepared-but-undecided. The
   /// owner must resolve each with commit() or abort().
   [[nodiscard]] std::vector<TxnId> in_doubt() const;
+  /// Whether `txn` is prepared and undecided here (one lookup).
+  [[nodiscard]] bool is_in_doubt(TxnId txn) const;
+
+  /// The store's survey: built while the log was replayed at open and kept
+  /// current by every append since, so it equals what replaying the log
+  /// from the start would build (once any open WAL group is flushed).
+  [[nodiscard]] const ShardSurvey& survey() const;
 
   /// Compacts the WAL: rewrites it as a snapshot of the committed state plus
-  /// the records of still-pending (prepared, undecided) transactions,
-  /// atomically replacing the old log. Shrinks an append-only log that has
-  /// accumulated many resolved transactions; crash-safe (the rename is the
-  /// commit point — before it the old log is intact, after it the new one is
-  /// complete).
+  /// the records of still-pending (prepared, undecided) transactions, in one
+  /// flushed write, atomically replacing the old log. Shrinks an append-only
+  /// log that has accumulated many resolved transactions; crash-safe (the
+  /// rename is the commit point — before it the old log is intact, after it
+  /// the new one is complete).
   void checkpoint();
 
   /// Installs (or clears) the WAL fault hook; survives checkpoint()'s log
@@ -87,9 +135,10 @@ class KvStore {
 
   /// Appends a kBatchSeal record: one decision round (seeded by `batch_id`)
   /// decided all of `members`. Recovery uses it to rerun one protocol round
-  /// per batch instead of one per member; replay ignores it entirely, and
-  /// checkpoint() drops seals (their batches are resolved or will re-surface
-  /// per transaction — the hint costs nothing to lose).
+  /// per batch instead of one per member; replay leaves the store's state
+  /// alone and records it only in the survey, and checkpoint() drops seals
+  /// (their batches are resolved or will re-surface per transaction — the
+  /// hint costs nothing to lose).
   void seal_batch(int64_t batch_id, const std::vector<TxnId>& members);
 
   [[nodiscard]] const WriteAheadLog& wal() const { return *wal_; }
@@ -104,6 +153,17 @@ class KvStore {
     bool prepared = false;
   };
 
+  /// A status change appended since survey() last ran. The serving path
+  /// only appends these; survey() folds them in, so prepare and commit pay
+  /// no index insert.
+  struct SurveyChange {
+    TxnId txn = 0;
+    ShardTxnStatus status = ShardTxnStatus::kUnknown;
+    std::vector<int32_t> participants;  ///< kPrepared only
+  };
+
+  /// Folds one replayed record into the store's state and survey.
+  void replay(WalRecord&& record);
   void apply(const Staged& staged);
 
   std::unique_ptr<WriteAheadLog> wal_;
@@ -111,6 +171,8 @@ class KvStore {
   LockManager locks_;
   std::map<std::string, std::string> data_;
   std::map<TxnId, Staged> staged_;
+  mutable ShardSurvey survey_;
+  mutable std::vector<SurveyChange> survey_backlog_;
   WalFaultHook* fault_hook_ = nullptr;
 };
 

@@ -8,6 +8,36 @@
 
 namespace rcommit::db {
 
+namespace {
+
+/// Merges per-shard surveys (one per shard position) into one view.
+BatchSurvey merge(const std::vector<const ShardSurvey*>& shards) {
+  BatchSurvey survey;
+  survey.statuses.resize(shards.size());
+  std::map<TxnId, std::set<int32_t>> participant_sets;
+  std::map<int64_t, std::set<TxnId>> seal_sets;
+  for (size_t i = 0; i < shards.size(); ++i) {
+    for (const auto& [txn, entry] : shards[i]->txns) {
+      survey.statuses[i].emplace(txn, entry.status);
+      if (!entry.participants.empty()) {
+        participant_sets[txn].insert(entry.participants.begin(), entry.participants.end());
+      }
+    }
+    for (const auto& [batch, members] : shards[i]->seals) {
+      if (!members.empty()) seal_sets[batch].insert(members.begin(), members.end());
+    }
+  }
+  for (const auto& [txn, ids] : participant_sets) {
+    survey.participants[txn].assign(ids.begin(), ids.end());
+  }
+  for (const auto& [batch, members] : seal_sets) {
+    survey.batches[batch].assign(members.begin(), members.end());
+  }
+  return survey;
+}
+
+}  // namespace
+
 ShardTxnStatus BatchSurvey::status(int32_t shard, TxnId txn) const {
   const auto& shard_statuses = statuses[static_cast<size_t>(shard)];
   const auto it = shard_statuses.find(txn);
@@ -24,57 +54,22 @@ RecoveryManager::RecoveryManager(std::vector<KvStore*> shards, Options options)
 }
 
 BatchSurvey RecoveryManager::survey_all() const {
-  BatchSurvey survey;
-  survey.statuses.resize(shards_.size());
-  std::map<TxnId, std::set<int32_t>> participant_sets;
-  std::map<int64_t, std::set<TxnId>> seal_sets;
+  // Read each log fresh from disk: what is durable, not what the stores
+  // hold in memory.
+  std::vector<ShardSurvey> read(shards_.size());
+  std::vector<const ShardSurvey*> views;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    // Replay the shard's WAL fresh; the live KvStore only retains staged
-    // state, but recovery needs the full outcome history. ONE replay per
-    // shard covers every transaction — the multi-shot scan.
-    WriteAheadLog wal(shards_[i]->wal().path());
-    auto& statuses = survey.statuses[i];
-    for (const auto& record : wal.replay()) {
-      switch (record.type) {
-        case WalRecordType::kBegin:
-        case WalRecordType::kWrite: {
-          auto [it, inserted] =
-              statuses.emplace(record.txn_id, ShardTxnStatus::kStagedOnly);
-          (void)it;
-          (void)inserted;
-          break;
-        }
-        case WalRecordType::kPrepared:
-          statuses[record.txn_id] = ShardTxnStatus::kPrepared;
-          for (int32_t id : decode_participant_list(record.value)) {
-            participant_sets[record.txn_id].insert(id);
-          }
-          break;
-        case WalRecordType::kCommit:
-          statuses[record.txn_id] = ShardTxnStatus::kCommitted;
-          break;
-        case WalRecordType::kAbort:
-          statuses[record.txn_id] = ShardTxnStatus::kAborted;
-          break;
-        case WalRecordType::kSnapshot:
-          break;  // checkpointed committed state; carries no per-txn status
-        case WalRecordType::kBatchSeal:
-          // The same seal is appended to every shard its batch touched; a
-          // torn group can leave it on a strict subset, so merge.
-          for (TxnId member : decode_txn_list(record.value)) {
-            seal_sets[record.txn_id].insert(member);
-          }
-          break;
-      }
-    }
+    scan_wal(shards_[i]->wal().path(),
+             [&survey = read[i]](WalRecord&& record) { survey.add(record); });
+    views.push_back(&read[i]);
   }
-  for (const auto& [txn, ids] : participant_sets) {
-    survey.participants[txn].assign(ids.begin(), ids.end());
-  }
-  for (const auto& [batch, members] : seal_sets) {
-    survey.batches[batch].assign(members.begin(), members.end());
-  }
-  return survey;
+  return merge(views);
+}
+
+BatchSurvey RecoveryManager::survey_live() const {
+  std::vector<const ShardSurvey*> views;
+  for (const auto* shard : shards_) views.push_back(&shard->survey());
+  return merge(views);
 }
 
 std::map<int32_t, ShardTxnStatus> RecoveryManager::survey(TxnId txn) const {
@@ -86,24 +81,28 @@ std::map<int32_t, ShardTxnStatus> RecoveryManager::survey(TxnId txn) const {
   return statuses;
 }
 
-RecoveryManager::Resolution RecoveryManager::classify(
-    TxnId txn, const BatchSurvey& survey) const {
-  const auto participants_it = survey.participants.find(txn);
-  const std::vector<int32_t> intended =
-      participants_it == survey.participants.end() ? std::vector<int32_t>{}
-                                                   : participants_it->second;
-
+RecoveryManager::Resolution RecoveryManager::classify(TxnId txn) const {
   bool any_commit = false;
   bool any_abort = false;
   bool any_staged_only = false;
+  std::vector<ShardTxnStatus> statuses(shards_.size(), ShardTxnStatus::kUnknown);
+  // The intended participant set is the union of the recorded lists; its
+  // members are checked shard list by shard list below.
+  std::vector<const std::vector<int32_t>*> intended;
   std::vector<int32_t> prepared_shards;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    const auto shard = static_cast<int32_t>(i);
-    switch (survey.status(shard, txn)) {
+    const auto& txns = shards_[i]->survey().txns;
+    const auto it = txns.find(txn);
+    if (it == txns.end()) continue;
+    statuses[i] = it->second.status;
+    if (!it->second.participants.empty()) intended.push_back(&it->second.participants);
+    switch (it->second.status) {
       case ShardTxnStatus::kCommitted: any_commit = true; break;
       case ShardTxnStatus::kAborted: any_abort = true; break;
       case ShardTxnStatus::kStagedOnly: any_staged_only = true; break;
-      case ShardTxnStatus::kPrepared: prepared_shards.push_back(shard); break;
+      case ShardTxnStatus::kPrepared:
+        prepared_shards.push_back(static_cast<int32_t>(i));
+        break;
       case ShardTxnStatus::kUnknown: break;
     }
   }
@@ -120,22 +119,24 @@ RecoveryManager::Resolution RecoveryManager::classify(
   // transaction. Legacy records with no participant list fall back to the
   // visible-prepared-set behaviour.
   bool missing_intended_participant = false;
-  for (int32_t id : intended) {
-    int32_t index = id;
-    if (!options_.shard_ids.empty()) {
-      const auto it =
-          std::find(options_.shard_ids.begin(), options_.shard_ids.end(), id);
-      index = it == options_.shard_ids.end()
-                  ? -1
-                  : static_cast<int32_t>(it - options_.shard_ids.begin());
-    }
-    const ShardTxnStatus status =
-        index >= 0 && index < static_cast<int32_t>(shards_.size())
-            ? survey.status(index, txn)
-            : ShardTxnStatus::kUnknown;
-    if (status == ShardTxnStatus::kUnknown ||
-        status == ShardTxnStatus::kStagedOnly) {
-      missing_intended_participant = true;
+  for (const auto* list : intended) {
+    for (int32_t id : *list) {
+      int32_t index = id;
+      if (!options_.shard_ids.empty()) {
+        const auto it =
+            std::find(options_.shard_ids.begin(), options_.shard_ids.end(), id);
+        index = it == options_.shard_ids.end()
+                    ? -1
+                    : static_cast<int32_t>(it - options_.shard_ids.begin());
+      }
+      const ShardTxnStatus status =
+          index >= 0 && index < static_cast<int32_t>(shards_.size())
+              ? statuses[static_cast<size_t>(index)]
+              : ShardTxnStatus::kUnknown;
+      if (status == ShardTxnStatus::kUnknown ||
+          status == ShardTxnStatus::kStagedOnly) {
+        missing_intended_participant = true;
+      }
     }
   }
 
@@ -182,9 +183,7 @@ void RecoveryManager::apply_decision(TxnId txn, Decision decision,
   // Apply to every shard still holding the transaction in doubt.
   for (int32_t shard : prepared_shards) {
     auto& store = *shards_[static_cast<size_t>(shard)];
-    bool still_in_doubt = false;
-    for (TxnId t : store.in_doubt()) still_in_doubt |= (t == txn);
-    if (!still_in_doubt) continue;
+    if (!store.is_in_doubt(txn)) continue;
     if (decision == Decision::kCommit) {
       store.commit(txn);
     } else {
@@ -196,31 +195,64 @@ void RecoveryManager::apply_decision(TxnId txn, Decision decision,
 
 RecoveryReport RecoveryManager::resolve_all() {
   RecoveryReport report;
-  std::set<TxnId> pending;
+  std::vector<TxnId> pending;
   for (const auto* shard : shards_) {
-    for (TxnId txn : shard->in_doubt()) pending.insert(txn);
+    const auto in_doubt = shard->in_doubt();
+    pending.insert(pending.end(), in_doubt.begin(), in_doubt.end());
   }
+  std::sort(pending.begin(), pending.end());
+  pending.erase(std::unique(pending.begin(), pending.end()), pending.end());
   if (pending.empty()) return report;
-  // One WAL scan per shard indexes every instance at once; each pending
-  // transaction is then resolved from the index. Resolving transaction A
-  // appends only A's outcome record, so the index stays exact for B, C, ...
-  const BatchSurvey survey = survey_all();
 
-  // Classify everything first: rule-3 members of the same recorded seal
-  // share ONE protocol rerun (seeded by the batch id) instead of one each.
-  std::map<TxnId, Resolution> resolutions;
-  for (TxnId txn : pending) resolutions.emplace(txn, classify(txn, survey));
+  // The recorded seal of each pending instance. The same seal sits on every
+  // shard its batch touched; an instance in two seals takes the larger id.
   std::map<TxnId, int64_t> seal_of;
-  for (const auto& [batch, members] : survey.batches) {
-    for (TxnId member : members) seal_of[member] = batch;
+  for (const auto* shard : shards_) {
+    for (const auto& [batch, members] : shard->survey().seals) {
+      for (TxnId member : members) {
+        if (!std::binary_search(pending.begin(), pending.end(), member)) continue;
+        auto [it, inserted] = seal_of.emplace(member, batch);
+        if (!inserted) it->second = std::max(it->second, batch);
+      }
+    }
+  }
+
+  // Classify everything first, against the surveys as the logs left them
+  // (the outcomes appended below must not feed back into the rules). Rule-3
+  // members of one seal share ONE protocol rerun, seeded by the batch id,
+  // over the union of their prepared shards — the participant set the live
+  // batched round ran over, minus members settled by rules 1 and 2 (whose
+  // recorded outcomes stand on their own).
+  std::vector<Resolution> resolutions;
+  resolutions.reserve(pending.size());
+  std::map<int64_t, std::set<int32_t>> batch_shards;
+  for (TxnId txn : pending) {
+    resolutions.push_back(classify(txn));
+    const Resolution& resolution = resolutions.back();
+    const auto seal_it = seal_of.find(txn);
+    if (resolution.needs_rerun && seal_it != seal_of.end()) {
+      batch_shards[seal_it->second].insert(resolution.prepared_shards.begin(),
+                                           resolution.prepared_shards.end());
+    }
+  }
+
+  // Outcomes go out as one WAL group per shard, flushed at the end. A crash
+  // part-way loses only unflushed groups; the next recovery adopts the
+  // flushed outcomes by rule 1 and reaches the same decisions for the rest.
+  std::vector<KvStore*> grouped;
+  for (auto* shard : shards_) {
+    if (shard->wal_group_open()) continue;
+    shard->wal_begin_group(kSingleFlushGroup);
+    grouped.push_back(shard);
   }
 
   // Apply in ascending transaction-id order, exactly as the unsealed path
   // always has; a sealed batch's rerun fires lazily at its first pending
   // rule-3 member and the decision is reused for the rest.
   std::map<int64_t, Decision> batch_decisions;
-  for (TxnId txn : pending) {
-    const Resolution& resolution = resolutions.at(txn);
+  for (size_t i = 0; i < pending.size(); ++i) {
+    const TxnId txn = pending[i];
+    const Resolution& resolution = resolutions[i];
     Decision decision = resolution.decision;
     if (resolution.needs_rerun) {
       const auto seal_it = seal_of.find(txn);
@@ -228,28 +260,13 @@ RecoveryReport RecoveryManager::resolve_all() {
         ++report.reran_protocol;
         decision = rerun_decision(txn, resolution.prepared_shards);
       } else {
-        auto cached = batch_decisions.find(seal_it->second);
+        const int64_t batch = seal_it->second;
+        auto cached = batch_decisions.find(batch);
         if (cached == batch_decisions.end()) {
-          // One rerun for the whole batch, over the union of its pending
-          // rule-3 members' prepared shards — the same participant set the
-          // live batched round ran over, minus members already settled by
-          // rules 1 and 2 (whose recorded outcomes stand on their own).
-          std::set<int32_t> union_shards;
-          for (const auto& [member, member_resolution] : resolutions) {
-            if (seal_of.count(member) == 0 ||
-                seal_of.at(member) != seal_it->second) {
-              continue;
-            }
-            if (!member_resolution.needs_rerun) continue;
-            union_shards.insert(member_resolution.prepared_shards.begin(),
-                                member_resolution.prepared_shards.end());
-          }
+          const std::set<int32_t>& shards = batch_shards.at(batch);
           ++report.reran_protocol;
           cached = batch_decisions
-                       .emplace(seal_it->second,
-                                rerun_decision(seal_it->second,
-                                               {union_shards.begin(),
-                                                union_shards.end()}))
+                       .emplace(batch, rerun_decision(batch, {shards.begin(), shards.end()}))
                        .first;
         }
         decision = cached->second;
@@ -257,6 +274,7 @@ RecoveryReport RecoveryManager::resolve_all() {
     }
     apply_decision(txn, decision, resolution.prepared_shards, report);
   }
+  for (auto* shard : grouped) shard->wal_end_group();
   return report;
 }
 

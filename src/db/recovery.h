@@ -35,15 +35,6 @@
 
 namespace rcommit::db {
 
-/// What recovery saw in the WALs for one transaction on one shard.
-enum class ShardTxnStatus {
-  kUnknown,     ///< no record of the transaction
-  kStagedOnly,  ///< BEGIN/WRITE records but no PREPARED
-  kPrepared,    ///< PREPARED, no outcome
-  kCommitted,
-  kAborted,
-};
-
 struct RecoveryReport {
   int64_t resolved_commit = 0;
   int64_t resolved_abort = 0;
@@ -52,12 +43,11 @@ struct RecoveryReport {
   bool operator==(const RecoveryReport&) const = default;
 };
 
-/// Every transaction's per-shard status, built from ONE WAL replay per shard
-/// — the multi-shot recovery path. With millions of in-doubt instances per
-/// shard, the per-transaction survey (one replay per transaction per shard)
-/// is quadratic; this index is linear in total WAL bytes and each in-doubt
-/// instance is then resolved from the index with its own deterministic
-/// protocol rerun.
+/// Every transaction's per-shard status across the whole database: the
+/// shards' ShardSurveys merged. resolve_all classifies from the stores' own
+/// surveys, which their WAL replay at open built; survey_all() builds this
+/// view by reading every log from disk, which is how tests and audits check
+/// what is durable.
 struct BatchSurvey {
   /// statuses[shard][txn]; transactions a shard never saw are absent
   /// (ShardTxnStatus::kUnknown).
@@ -75,6 +65,8 @@ struct BatchSurvey {
 
   /// The status of `txn` on `shard` (kUnknown if unseen).
   [[nodiscard]] ShardTxnStatus status(int32_t shard, TxnId txn) const;
+
+  bool operator==(const BatchSurvey&) const = default;
 };
 
 class RecoveryManager {
@@ -95,11 +87,17 @@ class RecoveryManager {
   /// in the constructor's `shards` vector.
   [[nodiscard]] std::map<int32_t, ShardTxnStatus> survey(TxnId txn) const;
 
-  /// One WAL replay per shard, indexing every transaction at once.
+  /// One read of each shard's WAL from disk, indexing every transaction.
   [[nodiscard]] BatchSurvey survey_all() const;
+  /// The same view merged from the stores' in-memory surveys. Once every
+  /// store's WAL group is flushed it equals survey_all().
+  [[nodiscard]] BatchSurvey survey_live() const;
 
   /// Resolves every in-doubt transaction on every shard, in ascending
-  /// transaction-id order, from a single batch survey. Idempotent.
+  /// transaction-id order, from the stores' surveys. The outcome records go
+  /// out as one WAL group per shard, flushed before returning (a shard whose
+  /// owner already has a group open keeps it, and its flush points).
+  /// Idempotent; a crash part-way leaves the flushed outcomes to rule 1.
   RecoveryReport resolve_all();
 
  private:
@@ -112,16 +110,15 @@ class RecoveryManager {
     std::vector<int32_t> prepared_shards;
   };
 
-  /// Rules 1 and 2 against the index; flags rule-3 transactions for a rerun.
-  [[nodiscard]] Resolution classify(TxnId txn, const BatchSurvey& survey) const;
+  /// Rules 1 and 2 against the stores' surveys; flags rule-3 transactions
+  /// for a rerun.
+  [[nodiscard]] Resolution classify(TxnId txn) const;
   /// The rule-3 deterministic protocol rerun among `prepared_shards`, seeded
   /// by mixing `mix_id` (the transaction id, or the batch id for a sealed
   /// batch) into the recovery seed.
   [[nodiscard]] Decision rerun_decision(
       int64_t mix_id, const std::vector<int32_t>& prepared_shards) const;
   /// Applies a decision to every shard still holding `txn` in doubt.
-  /// Appending an outcome record for one transaction never changes
-  /// another's indexed status, so the index stays valid across the pass.
   void apply_decision(TxnId txn, Decision decision,
                       const std::vector<int32_t>& prepared_shards,
                       RecoveryReport& report);

@@ -36,40 +36,37 @@ WalRecord decode_record(std::span<const uint8_t> body) {
   return record;
 }
 
-/// Scans a WAL file: the decodable record prefix plus the byte offset where
-/// trust ends (first torn, corrupt, or structurally invalid frame).
-struct WalScan {
-  std::vector<WalRecord> records;
+}  // namespace
+
+size_t scan_wal(const std::filesystem::path& path, const WalVisitor& visit) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in.is_open() ? static_cast<std::streamoff>(in.tellg()) : -1;
+  if (size <= 0) return 0;
+  std::vector<uint8_t> file_bytes(static_cast<size_t>(size));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(file_bytes.data()),
+          static_cast<std::streamsize>(file_bytes.size()));
+  file_bytes.resize(static_cast<size_t>(in.gcount()));
+
   size_t valid_end = 0;
-};
-
-WalScan scan_wal(const std::filesystem::path& path) {
-  WalScan scan;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return scan;
-
-  std::vector<uint8_t> file_bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  size_t pos = 0;
-  while (pos + 8 <= file_bytes.size()) {
-    BufReader header(std::span<const uint8_t>(file_bytes.data() + pos, 8));
+  while (valid_end + 8 <= file_bytes.size()) {
+    BufReader header(std::span<const uint8_t>(file_bytes.data() + valid_end, 8));
     const uint32_t length = header.u32();
     const uint32_t crc = header.u32();
-    if (pos + 8 + length > file_bytes.size()) break;  // torn final record
-    const std::span<const uint8_t> body(file_bytes.data() + pos + 8, length);
+    if (length > file_bytes.size() - valid_end - 8) break;  // torn final record
+    const std::span<const uint8_t> body(file_bytes.data() + valid_end + 8, length);
     if (crc32c(body) != crc) break;  // corrupt record: trust nothing after it
+    WalRecord record;
     try {
-      scan.records.push_back(decode_record(body));
+      record = decode_record(body);
     } catch (const CodecError&) {
       break;  // structurally invalid despite matching CRC — stop here
     }
-    pos += 8 + length;
-    scan.valid_end = pos;
+    if (visit) visit(std::move(record));
+    valid_end += 8 + length;
   }
-  return scan;
+  return valid_end;
 }
-
-}  // namespace
 
 std::string encode_participant_list(const std::vector<int32_t>& ids) {
   std::string out;
@@ -125,7 +122,8 @@ std::vector<int64_t> decode_txn_list(const std::string& text) {
   return ids;
 }
 
-WriteAheadLog::WriteAheadLog(std::filesystem::path path) : path_(std::move(path)) {
+WriteAheadLog::WriteAheadLog(std::filesystem::path path, const WalVisitor& visit)
+    : path_(std::move(path)) {
   // Replay stops at the first torn/corrupt frame and trusts nothing after it
   // — so anything appended after such a frame would be unreachable forever.
   // Make the distrust durable: truncate the invalid tail before appending.
@@ -134,10 +132,8 @@ WriteAheadLog::WriteAheadLog(std::filesystem::path path) : path_(std::move(path)
   std::error_code ec;
   const auto size = std::filesystem::file_size(path_, ec);
   if (!ec && size > 0) {
-    const WalScan scan = scan_wal(path_);
-    if (scan.valid_end < size) {
-      std::filesystem::resize_file(path_, scan.valid_end);
-    }
+    const size_t valid_end = scan_wal(path_, visit);
+    if (valid_end < size) std::filesystem::resize_file(path_, valid_end);
   }
   out_.open(path_, std::ios::binary | std::ios::app);
   RCOMMIT_CHECK_MSG(out_.is_open(), "cannot open WAL at " << path_.string());
@@ -243,7 +239,9 @@ void WriteAheadLog::flush_pending() {
 }
 
 std::vector<WalRecord> WriteAheadLog::replay() const {
-  return scan_wal(path_).records;
+  std::vector<WalRecord> records;
+  scan_wal(path_, [&records](WalRecord&& record) { records.push_back(std::move(record)); });
+  return records;
 }
 
 }  // namespace rcommit::db

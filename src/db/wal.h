@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -91,6 +93,17 @@ class WalFaultHook {
                                    std::span<const uint8_t> frame) = 0;
 };
 
+/// Receives each intact record of a log, in file order.
+using WalVisitor = std::function<void(WalRecord&&)>;
+
+/// Reads the log at `path` with one bulk read and hands every intact record
+/// to `visit`, stopping (without throwing) at the first torn or corrupt
+/// frame: everything before it is trustworthy, everything after is garbage
+/// from an interrupted append. A frame whose CRC matches but whose type byte
+/// is outside WalRecordType is treated the same way. Returns the byte offset
+/// where trust ends (0 for a missing or empty file).
+size_t scan_wal(const std::filesystem::path& path, const WalVisitor& visit);
+
 /// Encodes a participant shard list into the kPrepared record's value field
 /// (comma-separated decimal, e.g. "0,2,5"). An empty list encodes as "" —
 /// byte-identical to the pre-participant-list record format, which is how
@@ -132,10 +145,18 @@ struct WalGroupLimits {
   size_t max_bytes = 256 * 1024;
 };
 
+/// Limits that never auto-flush: the whole group reaches the file in one
+/// write at end_group (checkpoint's rewrite, recovery's outcome groups).
+inline constexpr WalGroupLimits kSingleFlushGroup{
+    .max_records = std::numeric_limits<int64_t>::max(),
+    .max_bytes = std::numeric_limits<size_t>::max()};
+
 class WriteAheadLog {
  public:
-  /// Opens (creating if absent) the log at `path` for appending.
-  explicit WriteAheadLog(std::filesystem::path path);
+  /// Opens (creating if absent) the log at `path` for appending. The scan
+  /// that finds the valid tail hands each intact record to `visit`, so an
+  /// owner rebuilding its state from the log decodes it only once.
+  explicit WriteAheadLog(std::filesystem::path path, const WalVisitor& visit = {});
 
   /// Appends one record, framed and checksummed. Outside group mode the
   /// frame is written and flushed immediately, with the installed fault
@@ -167,11 +188,8 @@ class WriteAheadLog {
   void end_group();
   [[nodiscard]] bool group_open() const { return group_open_; }
 
-  /// Reads every intact record from the start of the log. Stops (without
-  /// throwing) at the first torn or corrupt frame — everything before it is
-  /// trustworthy, everything after is garbage from an interrupted append.
-  /// A frame whose CRC matches but whose type byte is outside WalRecordType
-  /// is treated the same way: recovery rejects it and trusts nothing after.
+  /// Reads every intact record from the start of the log on disk (see
+  /// scan_wal for where reading stops).
   [[nodiscard]] std::vector<WalRecord> replay() const;
 
   /// Installs (or clears, with nullptr) the per-append fault hook. Non-owning.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -168,31 +169,86 @@ MultiTortureOptions MultiTortureOptions::deserialize(const std::string& text) {
   return options;
 }
 
-CrashPointResult run_multi_crash_point(const MultiTortureOptions& options,
-                                       const FaultPlan& plan) {
+namespace {
+
+/// Every shard reopened from its WAL and resolved.
+struct Recovery {
+  std::vector<std::unique_ptr<db::KvStore>> stores;
+  db::RecoveryReport report;
+  db::BatchSurvey survey;  ///< read back from disk after resolve_all
+};
+
+/// Reopens every shard from disk and resolves the whole in-doubt instance
+/// space. `hook` (may be null) is installed on the reopened stores, so
+/// resolve_all may crash at an outcome-group flush. Each store's survey is
+/// checked against its log on disk after the reopen and after resolve_all.
+Recovery recover(const MultiTortureOptions& options, db::WalFaultHook* hook,
+                 std::vector<std::string>& errors) {
+  Recovery recovery;
+  std::vector<db::KvStore*> ptrs;
+  for (int32_t i = 0; i < options.shard_count; ++i) {
+    recovery.stores.push_back(std::make_unique<db::KvStore>(
+        options.scratch_dir / ("shard-" + std::to_string(i) + ".wal")));
+    recovery.stores.back()->set_fault_hook(hook);
+    ptrs.push_back(recovery.stores.back().get());
+  }
+  db::RecoveryManager manager(ptrs, {.seed = options.seed ^ 0x5ec0feULL});
+  const auto check_survey = [&](const char* when) {
+    db::BatchSurvey on_disk = manager.survey_all();
+    if (manager.survey_live() != on_disk) {
+      errors.push_back(std::string("stores' surveys differ from their logs ") + when);
+    }
+    return on_disk;
+  };
+  (void)check_survey("after the reopen");
+  recovery.report = manager.resolve_all();
+  recovery.survey = check_survey("after resolve_all");
+  return recovery;
+}
+
+/// One crash point: the workload under `plan`, then recovery. With
+/// `recovery_plan`, a first recovery runs with that plan's injector on the
+/// reopened stores and the result's crash fields describe it; the checked
+/// recovery always reopens afterwards from whatever the WALs then hold.
+struct MultiPoint {
+  CrashPointResult result;
+  std::map<db::TxnId, bool> committed;  ///< every instance's final outcome
+  db::RecoveryReport first_report;      ///< the hooked recovery's, if it finished
+};
+
+MultiPoint run_multi_point(const MultiTortureOptions& options, const FaultPlan& plan,
+                           const FaultPlan* recovery_plan) {
   RCOMMIT_CHECK_MSG(!options.scratch_dir.empty(), "scratch_dir is required");
   fs::remove_all(options.scratch_dir);
   fs::create_directories(options.scratch_dir);
 
-  CrashPointResult result;
+  MultiPoint point;
+  CrashPointResult& result = point.result;
   FaultInjector injector(plan);
   std::vector<db::TxnId> execution_order;
   const auto reference = run_multi_workload(options, injector, result.crashed,
                                             result.crash_site, execution_order);
   result.sites_seen = injector.sites_seen();
 
-  // The process is dead; only the WALs remain. Reopen every shard from disk
-  // (no fault hook — recovery itself runs on healthy storage) and resolve
-  // the whole in-doubt instance space from one batch survey.
-  std::vector<std::unique_ptr<db::KvStore>> stores;
-  std::vector<db::KvStore*> ptrs;
-  for (int32_t i = 0; i < options.shard_count; ++i) {
-    stores.push_back(std::make_unique<db::KvStore>(
-        options.scratch_dir / ("shard-" + std::to_string(i) + ".wal")));
-    ptrs.push_back(stores.back().get());
+  if (recovery_plan != nullptr) {
+    FaultInjector recovery_injector(*recovery_plan);
+    result.crashed = false;
+    result.crash_site = -1;
+    try {
+      point.first_report = recover(options, &recovery_injector, result.errors).report;
+    } catch (const db::CrashInjected& crash) {
+      result.crashed = true;
+      result.crash_site = crash.site();
+    }
+    result.sites_seen = recovery_injector.sites_seen();
   }
-  db::RecoveryManager recovery(ptrs, {.seed = options.seed ^ 0x5ec0feULL});
-  result.report = recovery.resolve_all();
+
+  // The process is dead; only the WALs remain. Reopen every shard from disk
+  // (no fault hook — this recovery runs on healthy storage) and resolve the
+  // whole in-doubt instance space from the stores' surveys.
+  const Recovery recovery = recover(options, nullptr, result.errors);
+  const auto& stores = recovery.stores;
+  result.report = recovery.report;
 
   for (int32_t i = 0; i < options.shard_count; ++i) {
     if (!stores[static_cast<size_t>(i)]->in_doubt().empty()) {
@@ -203,8 +259,8 @@ CrashPointResult run_multi_crash_point(const MultiTortureOptions& options,
 
   // Final outcome of every instance the reference knows about, per the
   // recovered WALs (one batch survey — never a per-txn rescan).
-  const db::BatchSurvey survey = recovery.survey_all();
-  std::map<db::TxnId, bool> committed;
+  const db::BatchSurvey& survey = recovery.survey;
+  std::map<db::TxnId, bool>& committed = point.committed;
   for (const auto& [txn, ref] : reference) {
     bool any_commit = false;
     bool any_abort = false;
@@ -276,33 +332,19 @@ CrashPointResult run_multi_crash_point(const MultiTortureOptions& options,
   }
 
   result.digest = state_digest(stores);
-  return result;
+  return point;
 }
 
-std::vector<SiteInfo> enumerate_multi_sites(const MultiTortureOptions& options) {
-  RCOMMIT_CHECK_MSG(!options.scratch_dir.empty(), "scratch_dir is required");
-  fs::remove_all(options.scratch_dir);
-  fs::create_directories(options.scratch_dir);
-  FaultInjector injector(FaultPlan::none());
-  bool crashed = false;
-  int64_t crash_site = -1;
-  std::vector<db::TxnId> execution_order;
-  run_multi_workload(options, injector, crashed, crash_site, execution_order);
-  RCOMMIT_CHECK_MSG(!crashed, "empty plan must not crash");
-  return injector.sites();
-}
-
-SweepResult run_multi_wal_sweep(const MultiTortureOptions& options,
-                                const SweepOptions& sweep) {
+/// Runs `run_point` at every (site × kind) below `sites`, on the pool when
+/// asked, folding the results in enumeration order (thread-count
+/// independent). Each point gets its own scratch directory.
+SweepResult sweep_sites(
+    const MultiTortureOptions& options, int64_t sites, const SweepOptions& sweep,
+    const std::function<CrashPointResult(const MultiTortureOptions&, const FaultPlan&)>&
+        run_point) {
   SweepResult out;
-  {
-    MultiTortureOptions probe = options;
-    probe.scratch_dir = options.scratch_dir / "enumerate";
-    out.sites = static_cast<int64_t>(enumerate_multi_sites(probe).size());
-    fs::remove_all(probe.scratch_dir);
-  }
-  const int64_t sites = sweep.max_sites >= 0 ? std::min(out.sites, sweep.max_sites)
-                                             : out.sites;
+  out.sites = sites;
+  if (sweep.max_sites >= 0) sites = std::min(sites, sweep.max_sites);
 
   struct Job {
     int64_t site;
@@ -327,8 +369,7 @@ SweepResult run_multi_wal_sweep(const MultiTortureOptions& options,
                          std::string(to_string(job.kind)));
     plans[static_cast<size_t>(j)] =
         FaultPlan::wal_fault_at(job.site, job.kind, mix.next());
-    results[static_cast<size_t>(j)] =
-        run_multi_crash_point(point, plans[static_cast<size_t>(j)]);
+    results[static_cast<size_t>(j)] = run_point(point, plans[static_cast<size_t>(j)]);
     fs::remove_all(point.scratch_dir);
   };
   if (sweep.threads > 1) {
@@ -338,12 +379,80 @@ SweepResult run_multi_wal_sweep(const MultiTortureOptions& options,
     for (int64_t j = 0; j < static_cast<int64_t>(jobs.size()); ++j) run_one(j);
   }
 
-  // Fold in enumeration order: thread-count independent.
   for (size_t j = 0; j < jobs.size(); ++j) {
     ++out.crash_points;
     if (!results[j].ok()) out.failures.push_back({plans[j], results[j]});
   }
   return out;
+}
+
+}  // namespace
+
+CrashPointResult run_multi_crash_point(const MultiTortureOptions& options,
+                                       const FaultPlan& plan) {
+  return run_multi_point(options, plan, nullptr).result;
+}
+
+std::vector<SiteInfo> enumerate_multi_sites(const MultiTortureOptions& options) {
+  RCOMMIT_CHECK_MSG(!options.scratch_dir.empty(), "scratch_dir is required");
+  fs::remove_all(options.scratch_dir);
+  fs::create_directories(options.scratch_dir);
+  FaultInjector injector(FaultPlan::none());
+  bool crashed = false;
+  int64_t crash_site = -1;
+  std::vector<db::TxnId> execution_order;
+  run_multi_workload(options, injector, crashed, crash_site, execution_order);
+  RCOMMIT_CHECK_MSG(!crashed, "empty plan must not crash");
+  return injector.sites();
+}
+
+SweepResult run_multi_wal_sweep(const MultiTortureOptions& options,
+                                const SweepOptions& sweep) {
+  MultiTortureOptions probe = options;
+  probe.scratch_dir = options.scratch_dir / "enumerate";
+  const auto sites = static_cast<int64_t>(enumerate_multi_sites(probe).size());
+  fs::remove_all(probe.scratch_dir);
+  return sweep_sites(options, sites, sweep, run_multi_crash_point);
+}
+
+SweepResult run_multi_recovery_sweep(const MultiTortureOptions& options,
+                                     const FaultPlan& workload_plan,
+                                     const SweepOptions& sweep) {
+  // The no-crash recovery, with an empty-plan injector on the reopened
+  // stores: it counts the outcome-group sites and is the baseline.
+  MultiTortureOptions probe = options;
+  probe.scratch_dir = options.scratch_dir / "baseline";
+  const FaultPlan none = FaultPlan::none();
+  const MultiPoint baseline = run_multi_point(probe, workload_plan, &none);
+  fs::remove_all(probe.scratch_dir);
+  RCOMMIT_CHECK_MSG(!baseline.result.crashed, "empty recovery plan must not crash");
+  RCOMMIT_CHECK_MSG(baseline.result.ok(),
+                    "the no-crash recovery fails its own checks:\n"
+                        << baseline.result.serialize());
+
+  return sweep_sites(
+      options, baseline.result.sites_seen, sweep,
+      [&](const MultiTortureOptions& point_options, const FaultPlan& plan) {
+        MultiPoint point = run_multi_point(point_options, workload_plan, &plan);
+        auto& errors = point.result.errors;
+        if (point.committed != baseline.committed) {
+          errors.push_back("decisions differ from the no-crash recovery's");
+        }
+        if (point.result.digest != baseline.result.digest) {
+          errors.push_back("final state differs from the no-crash recovery's");
+        }
+        // Outcomes flushed before the crash are adopted by rule 1: the
+        // re-resolution never decides more instances, nor reruns more
+        // rounds, than the crashed recovery set out to.
+        const db::RecoveryReport& before = baseline.first_report;
+        const db::RecoveryReport& after = point.result.report;
+        if (after.resolved_commit + after.resolved_abort >
+                before.resolved_commit + before.resolved_abort ||
+            after.reran_protocol > before.reran_protocol) {
+          errors.push_back("re-resolution did more than the crashed recovery");
+        }
+        return point.result;
+      });
 }
 
 void write_multi_fault_artifact(const fs::path& dir,

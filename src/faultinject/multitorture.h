@@ -5,7 +5,7 @@
 // db::MultiShotDb::execute_pipelined: each batch stages and prepares many
 // instances before any of them decides, so a crash anywhere in the pipeline
 // leaves *many* transactions in doubt per shard — the WAL-state space the
-// batch recovery scan (RecoveryManager::survey_all) exists for. The checks
+// batch recovery classification (RecoveryManager::resolve_all) exists for. The checks
 // are the serial torture's, extended across the whole instance space:
 //
 //   * no instance remains in doubt after resolve_all();
@@ -15,7 +15,9 @@
 //     intended participant (the paper's §1 "at all processors or at no
 //     processor"), for every instance of every batch;
 //   * each shard's recovered state equals the committed-prefix reference,
-//     applied in execution order, key for key.
+//     applied in execution order, key for key;
+//   * every store's in-memory survey equals its log read back from disk,
+//     after the reopen and again after resolve_all.
 //
 // Decision rounds run on the deterministic simulator seeded by (seed, txn id)
 // — the exact rerun RecoveryManager performs — so the whole sweep is a pure
@@ -71,6 +73,19 @@ struct MultiTortureOptions {
 /// Exhaustive (site × kind) sweep over the multi-txn site space.
 [[nodiscard]] SweepResult run_multi_wal_sweep(const MultiTortureOptions& options,
                                               const SweepOptions& sweep);
+
+/// Crash-in-recovery sweep. The workload crashes under `workload_plan`;
+/// recovery then runs with a fault injector on the reopened stores, whose
+/// sites are resolve_all's outcome-group flushes (numbered from 0, one per
+/// shard with outcomes to write). Every (site × kind) is crashed, reopened
+/// and resolved again, and must pass the crash-point checks and end with the
+/// no-crash recovery's state and decisions, never deciding more instances or
+/// rerunning more rounds than it (flushed outcomes become rule 1).
+/// `sites` in the result counts recovery sites; each failure's result
+/// carries the recovery's crash fields.
+[[nodiscard]] SweepResult run_multi_recovery_sweep(const MultiTortureOptions& options,
+                                                   const FaultPlan& workload_plan,
+                                                   const SweepOptions& sweep);
 
 // --- artifacts ---------------------------------------------------------------
 //

@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "common/check.h"
+#include "common/codec.h"
 #include "db/kv.h"
 #include "db/locks.h"
 #include "db/txn.h"
@@ -464,6 +465,85 @@ TEST(Kv, CheckpointFlushesAndReopensGroup) {
   KvStore recovered(wal_path);
   EXPECT_EQ(recovered.get("a"), "1");
   EXPECT_EQ(recovered.get("b"), "2");
+}
+
+// --- opening a damaged log ---------------------------------------------------------
+
+/// The bytes of one well-framed record, as WriteAheadLog::append writes it.
+std::vector<uint8_t> frame_bytes(uint8_t type, TxnId txn) {
+  BufWriter body;
+  body.u8(type);
+  body.svarint(txn);
+  body.str("");
+  body.str("");
+  BufWriter frame;
+  frame.u32(static_cast<uint32_t>(body.size()));
+  frame.u32(crc32c(std::span<const uint8_t>(body.data())));
+  std::vector<uint8_t> bytes = frame.take();
+  bytes.insert(bytes.end(), body.data().begin(), body.data().end());
+  return bytes;
+}
+
+void append_bytes(const fs::path& path, const std::vector<uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::app);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Kv, OpeningADamagedLogDecodesOnceAndTruncatesAtTheDamage) {
+  // The open's single scan must both rebuild the store and cut the log at
+  // the first untrusted frame: a torn final frame, a frame whose CRC fails,
+  // or a frame with a valid CRC but an unknown type byte. An intact COMMIT
+  // of the in-doubt transaction behind the damage must not count.
+  const uint8_t commit = static_cast<uint8_t>(WalRecordType::kCommit);
+  std::vector<uint8_t> torn = frame_bytes(commit, 2);
+  torn.resize(torn.size() - 3);
+  std::vector<uint8_t> corrupt = frame_bytes(commit, 2);
+  corrupt.back() ^= 0x40;
+  struct Damage {
+    const char* name;
+    std::vector<uint8_t> bytes;
+    bool followed_by_commit;  ///< a torn frame can only be the last one
+  };
+  const std::vector<Damage> damages = {
+      {"torn tail", torn, false},
+      {"crc mismatch", corrupt, true},
+      {"unknown type byte", frame_bytes(9, 2), true},
+  };
+  for (const auto& [name, damage, followed_by_commit] : damages) {
+    SCOPED_TRACE(name);
+    TempDir dir;
+    const auto wal_path = dir.path() / "kv.wal";
+    {
+      KvStore store(wal_path);
+      ASSERT_TRUE(store.prepare(1, {{"a", "1"}}, {0}));
+      store.commit(1);
+      ASSERT_TRUE(store.prepare(2, {{"b", "2"}, {"c", "2"}}, {0, 1}));
+    }
+    const auto valid_end = fs::file_size(wal_path);
+    append_bytes(wal_path, damage);
+    if (followed_by_commit) append_bytes(wal_path, frame_bytes(commit, 2));
+
+    KvStore store(wal_path);
+    EXPECT_EQ(fs::file_size(wal_path), valid_end);
+    EXPECT_EQ(store.in_doubt(), std::vector<TxnId>{2});
+    EXPECT_EQ(store.snapshot(), (std::map<std::string, std::string>{{"a", "1"}}));
+    EXPECT_EQ(store.locks().locked_count(), 2u);
+    EXPECT_EQ(store.locks().holder("b"), std::optional<TxnId>(2));
+    EXPECT_EQ(store.locks().holder("c"), std::optional<TxnId>(2));
+    EXPECT_EQ(store.survey().txns.at(2).status, ShardTxnStatus::kPrepared);
+    EXPECT_EQ(store.survey().txns.at(1).status, ShardTxnStatus::kCommitted);
+
+    // Appends land right after the cut, where a fresh replay finds them.
+    store.commit(2);
+    const auto records = WriteAheadLog(wal_path).replay();
+    ASSERT_FALSE(records.empty());
+    EXPECT_EQ(records.back(), (WalRecord{WalRecordType::kCommit, 2, "", ""}));
+    KvStore reopened(wal_path);
+    EXPECT_TRUE(reopened.in_doubt().empty());
+    EXPECT_EQ(reopened.get("b"), "2");
+    EXPECT_EQ(reopened.survey(), store.survey());
+  }
 }
 
 // --- checkpoint / compaction -------------------------------------------------------

@@ -103,6 +103,45 @@ TEST_F(MultiShotFixture, EngineAllocatedIdsAreUniqueAcrossShards) {
   }
 }
 
+TEST_F(MultiShotFixture, LiveSurveysMatchTheLogsOnDisk) {
+  // A database that is never reopened: group commit, sealed decision
+  // batches, lock-conflict aborts, plus one instance left in doubt. Every
+  // store's survey, kept current by its prepares, outcomes and seals, must
+  // equal what reading the logs back from disk builds.
+  MultiShotDb::Options opts = options("live");
+  opts.group_commit = true;
+  opts.decision_batch = 4;
+  MultiShotDb database(opts);
+  std::vector<GeneratedTxn> batch;
+  for (int i = 0; i < 12; ++i) {
+    batch.push_back({{i % 3, {{"k" + std::to_string(i % 2), "v" + std::to_string(i)}}},
+                     {(i + 1) % 3, {{"j" + std::to_string(i), "v"}}}});
+  }
+  const auto outcomes = database.execute_pipelined(0, batch);
+  int committed = 0;
+  for (const auto& outcome : outcomes) {
+    committed += outcome.decided && outcome.decision == Decision::kCommit ? 1 : 0;
+  }
+  EXPECT_GT(committed, 0);
+  EXPECT_LT(committed, 12);  // the shared keys force lock-conflict aborts
+  ASSERT_TRUE(database.shard(1).prepare(make_txn_id(3, 1), {{"held", "x"}}, {1, 2}));
+  database.flush_wals();
+  std::vector<KvStore*> shards;
+  for (int32_t i = 0; i < 3; ++i) shards.push_back(&database.shard(i));
+  RecoveryManager recovery(shards, {});
+  const BatchSurvey live = recovery.survey_live();
+  EXPECT_EQ(live, recovery.survey_all());
+  EXPECT_FALSE(live.batches.empty());
+  EXPECT_EQ(live.status(1, make_txn_id(3, 1)), ShardTxnStatus::kPrepared);
+  // The engine's groups stay open, so resolve_all's outcome joins them and
+  // is on disk after the engine's next flush; the surveys follow it.
+  const RecoveryReport report = recovery.resolve_all();
+  EXPECT_EQ(report.resolved_abort, 1);  // participant 2 never prepared it
+  database.flush_wals();
+  EXPECT_EQ(recovery.survey_live(), recovery.survey_all());
+  EXPECT_EQ(recovery.survey_live().status(1, make_txn_id(3, 1)), ShardTxnStatus::kAborted);
+}
+
 TEST_F(MultiShotFixture, PipelinedBatchIsDeterministic) {
   std::vector<GeneratedTxn> batch;
   for (int i = 0; i < 6; ++i) {

@@ -4,6 +4,9 @@
 // the committed-prefix reference — cross-shard atomicity included ("at all
 // processors or at no processor").
 //
+// Recovery itself is crashed too: at every outcome-group flush of
+// resolve_all, after a crash at every workload site, then resolved again.
+//
 // The tier-1 run sweeps one seed; configuring with -DRCOMMIT_LONG_TESTS=ON
 // adds a seed matrix over larger pipelines (CI's swarm-smoke job). Two
 // committed corpus entries under tests/corpus_multishot/ replay in tier-1.
@@ -125,6 +128,98 @@ TEST_F(MultiShotTortureFixture, GroupBoundaryCrashIsReproducible) {
   EXPECT_EQ(baseline, run_multi_crash_point(second, plan));
   EXPECT_TRUE(baseline.crashed);
   EXPECT_TRUE(baseline.ok()) << baseline.serialize();
+}
+
+// --- crashes inside resolve_all ---------------------------------------------------
+
+/// Sweeps every outcome-group site of recovery × every fault kind, for each
+/// workload crash in `workload_plans`; returns the recovery crash points run.
+int64_t sweep_recovery_crashes(const MultiTortureOptions& options,
+                               const std::vector<FaultPlan>& workload_plans) {
+  int64_t crash_points = 0;
+  for (size_t i = 0; i < workload_plans.size(); ++i) {
+    MultiTortureOptions point = options;
+    point.scratch_dir = options.scratch_dir / ("workload" + std::to_string(i));
+    const SweepResult result =
+        run_multi_recovery_sweep(point, workload_plans[i], {.threads = 2});
+    EXPECT_EQ(result.crash_points, result.sites * 5);
+    crash_points += result.crash_points;
+    for (const auto& failure : result.failures) {
+      ADD_FAILURE() << "re-recovery not equivalent after workload plan:\n"
+                    << workload_plans[i].serialize() << "recovery plan:\n"
+                    << failure.plan.serialize() << "result:\n"
+                    << failure.result.serialize();
+    }
+  }
+  return crash_points;
+}
+
+/// A crash-after at every workload site: each leaves a different set of
+/// in-doubt instances for recovery to resolve.
+std::vector<FaultPlan> workload_crashes(const MultiTortureOptions& options) {
+  MultiTortureOptions probe = options;
+  probe.scratch_dir = options.scratch_dir / "enumerate";
+  const auto sites = static_cast<int64_t>(enumerate_multi_sites(probe).size());
+  std::vector<FaultPlan> plans;
+  for (int64_t site = 0; site < sites; ++site) {
+    plans.push_back(FaultPlan::wal_fault_at(site, FaultKind::kCrashAfter, 0));
+  }
+  return plans;
+}
+
+TEST_F(MultiShotTortureFixture, CrashInsideRecoveryReResolvesEquivalently) {
+  MultiTortureOptions options;  // 3 shards x 3 batches x 8 in flight
+  options.scratch_dir = dir_;
+  EXPECT_GT(sweep_recovery_crashes(options, workload_crashes(options)), 0);
+}
+
+TEST_F(MultiShotTortureFixture, CrashInsideGroupedRecoveryReResolvesEquivalently) {
+  // Sealed batches in the logs: a crash between two shards' outcome groups
+  // splits a batch into flushed members (rule 1) and members whose shared
+  // rule-3 rerun now spans fewer shards — it must still commit them.
+  MultiTortureOptions options;
+  options.group_commit = true;
+  options.decision_batch = 4;
+  options.scratch_dir = dir_;
+  EXPECT_GT(sweep_recovery_crashes(options, workload_crashes(options)), 0);
+}
+
+TEST_F(MultiShotTortureFixture, FlushedOutcomeGroupBecomesRuleOne) {
+  // Four instances prepared on shards 0 and 1, no outcome anywhere: rule 3.
+  const auto wal = [&](int shard) { return dir_ / ("shard-" + std::to_string(shard) + ".wal"); };
+  {
+    db::KvStore shard0(wal(0));
+    db::KvStore shard1(wal(1));
+    for (db::TxnId txn = 1; txn <= 4; ++txn) {
+      const std::string key = "k" + std::to_string(txn);
+      ASSERT_TRUE(shard0.prepare(txn, {{key, "0"}}, {0, 1}));
+      ASSERT_TRUE(shard1.prepare(txn, {{key, "1"}}, {0, 1}));
+    }
+  }
+  // Recovery crashes right after its first outcome group (shard 0's) is on
+  // disk, before shard 1's is written.
+  FaultInjector injector(FaultPlan::wal_fault_at(0, FaultKind::kCrashAfter, 0));
+  {
+    db::KvStore shard0(wal(0));
+    db::KvStore shard1(wal(1));
+    shard0.set_fault_hook(&injector);
+    shard1.set_fault_hook(&injector);
+    db::RecoveryManager recovery({&shard0, &shard1}, {.seed = 3});
+    EXPECT_THROW((void)recovery.resolve_all(), db::CrashInjected);
+  }
+  EXPECT_EQ(injector.sites_seen(), 1);  // the crash fired at the first group
+  db::KvStore shard0(wal(0));
+  db::KvStore shard1(wal(1));
+  EXPECT_TRUE(shard0.in_doubt().empty());
+  EXPECT_EQ(shard1.in_doubt().size(), 4u);
+  db::RecoveryManager recovery({&shard0, &shard1}, {.seed = 3});
+  const db::RecoveryReport report = recovery.resolve_all();
+  // Shard 0's flushed commits decide shard 1 by rule 1: no rerun needed.
+  EXPECT_EQ(report, (db::RecoveryReport{.resolved_commit = 4}));
+  for (db::TxnId txn = 1; txn <= 4; ++txn) {
+    EXPECT_EQ(shard1.get("k" + std::to_string(txn)), "1");
+  }
+  EXPECT_EQ(recovery.survey_live(), recovery.survey_all());
 }
 
 // --- the unbatched execute() path under group commit ------------------------------
