@@ -75,6 +75,35 @@ void BM_WalAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_WalAppend);
 
+/// Group commit as the pipelined engine drives it: KvStore-shaped WRITE
+/// records ("key:<n>" / "txn-<n>", as db::WorkloadGenerator draws them)
+/// buffered and flushed as one physical write every 256 records.
+void BM_WalGroupAppend(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() /
+                        ("rcommit_bm_wal_group_" + std::to_string(::getpid()) + ".wal");
+  fs::remove(path);
+  std::vector<db::WalRecord> records;
+  for (int i = 0; i < 256; ++i) {
+    records.push_back({db::WalRecordType::kWrite, 4096 + i,
+                       "key:" + std::to_string(i * 7919 % 20000),
+                       "txn-" + std::to_string(4096 + i)});
+  }
+  {
+    db::WriteAheadLog wal(path);
+    wal.begin_group({.max_records = 256});
+    size_t next = 0;
+    for (auto _ : state) {
+      wal.append(records[next]);
+      next = (next + 1) % records.size();
+    }
+    wal.end_group();
+  }
+  state.SetItemsProcessed(state.iterations());
+  fs::remove(path);
+}
+BENCHMARK(BM_WalGroupAppend);
+
 void BM_SimulatorCommitRun(benchmark::State& state) {
   const auto n = static_cast<int32_t>(state.range(0));
   SystemParams params{.n = n, .t = (n - 1) / 2, .k = 2};

@@ -75,6 +75,19 @@ class BufWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
+  /// Overwrites the 4 bytes at `offset` (already written) with `v`, little-
+  /// endian — for a length or checksum known only after what follows it.
+  void patch_u32(size_t offset, uint32_t v) {
+    RCOMMIT_CHECK(offset + 4 <= buf_.size());
+    for (size_t i = 0; i < 4; ++i) {
+      buf_[offset + i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+
+  /// Empties the buffer but keeps its capacity, so a writer reused across
+  /// messages stops allocating once it has grown to the largest one.
+  void clear() { buf_.clear(); }
+
   [[nodiscard]] const std::vector<uint8_t>& data() const { return buf_; }
   std::vector<uint8_t> take() { return std::move(buf_); }
   [[nodiscard]] size_t size() const { return buf_.size(); }
@@ -164,8 +177,10 @@ class BufReader {
   size_t pos_ = 0;
 };
 
-/// CRC-32C (Castagnoli), bitwise implementation. Used by the write-ahead log
-/// to detect torn or corrupted records during recovery.
+/// CRC-32C (Castagnoli), table-driven slicing-by-8: eight bytes per step
+/// through eight 256-entry tables, portable C++ with no ISA intrinsics. Used
+/// by the write-ahead log to detect torn or corrupted records during
+/// recovery.
 uint32_t crc32c(std::span<const uint8_t> data);
 
 }  // namespace rcommit

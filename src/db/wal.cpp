@@ -7,15 +7,6 @@ namespace rcommit::db {
 
 namespace {
 
-std::vector<uint8_t> encode_record(const WalRecord& record) {
-  BufWriter w;
-  w.u8(static_cast<uint8_t>(record.type));
-  w.svarint(record.txn_id);
-  w.str(record.key);
-  w.str(record.value);
-  return w.take();
-}
-
 WalRecord decode_record(std::span<const uint8_t> body) {
   BufReader r(body);
   WalRecord record;
@@ -140,19 +131,23 @@ WriteAheadLog::WriteAheadLog(std::filesystem::path path, const WalVisitor& visit
 }
 
 void WriteAheadLog::append(const WalRecord& record) {
-  const auto body = encode_record(record);
-  BufWriter frame_writer;
-  frame_writer.u32(static_cast<uint32_t>(body.size()));
-  frame_writer.u32(crc32c(body));
-  const auto& frame_head = frame_writer.data();
-  std::vector<uint8_t> frame;
-  frame.reserve(frame_head.size() + body.size());
-  frame.insert(frame.end(), frame_head.begin(), frame_head.end());
-  frame.insert(frame.end(), body.begin(), body.end());
+  // Encode the frame in place at the end of the pending buffer: reserve the
+  // [length][crc32c] header, write the body after it, then patch the header
+  // from the body. Once the buffer has grown to its largest group, an append
+  // allocates nothing.
+  const size_t frame_start = pending_.size();
+  pending_.u32(0);
+  pending_.u32(0);
+  pending_.u8(static_cast<uint8_t>(record.type));
+  pending_.svarint(record.txn_id);
+  pending_.str(record.key);
+  pending_.str(record.value);
+  const auto body = std::span<const uint8_t>(pending_.data()).subspan(frame_start + 8);
+  pending_.patch_u32(frame_start, static_cast<uint32_t>(body.size()));
+  pending_.patch_u32(frame_start + 4, crc32c(body));
+  ++pending_records_;
 
   if (group_open_) {
-    pending_.insert(pending_.end(), frame.begin(), frame.end());
-    ++pending_records_;
     ++stats_.records_appended;
     // Deterministic auto-flush: the boundary depends only on the append
     // sequence, never on timing, so injection sites stay enumerable.
@@ -163,7 +158,8 @@ void WriteAheadLog::append(const WalRecord& record) {
     return;
   }
 
-  write_frame(std::span<const uint8_t>(frame));
+  // Outside group mode an append is a group of one, flushed at once.
+  flush_pending();
   ++stats_.records_appended;
 }
 
@@ -228,14 +224,19 @@ void WriteAheadLog::end_group() {
 }
 
 void WriteAheadLog::flush_pending() {
-  if (pending_.empty()) return;
-  // Take the buffer before executing the hook's disposition: a crash verdict
-  // unwinds out of write_frame, and the crashed group's bytes must be gone —
-  // a later flush replaying them would model a dead process writing.
-  const std::vector<uint8_t> group = std::move(pending_);
-  pending_.clear();
-  pending_records_ = 0;
-  write_frame(std::span<const uint8_t>(group));
+  if (pending_.size() == 0) return;
+  // Empty the buffer however write_frame leaves: a crash verdict unwinds out
+  // of it, and the crashed group's bytes must be gone — a later flush
+  // replaying them would model a dead process writing. clear() keeps the
+  // capacity for the next group.
+  struct ClearPending {
+    WriteAheadLog& wal;
+    ~ClearPending() {
+      wal.pending_.clear();
+      wal.pending_records_ = 0;
+    }
+  } clear_pending{*this};
+  write_frame(std::span<const uint8_t>(pending_.data()));
 }
 
 std::vector<WalRecord> WriteAheadLog::replay() const {

@@ -6,6 +6,13 @@
 // append; replay stops cleanly at the first torn or corrupted record, so a
 // crash mid-append loses at most the record being written.
 //
+// Every frame is encoded in place into one buffer the log owns: the header
+// is reserved, the body written behind it, and the length and CRC patched in.
+// An ungrouped append is a group of one, flushed at once, so grouped and
+// ungrouped appends share that one encode site and one write path
+// (write_frame). The buffer keeps its capacity across flushes, so a
+// steady-state append makes no heap allocation.
+//
 // Every append is also a numbered *injection site*: an installed WalFaultHook
 // (src/faultinject) sees each framed record before it hits the file and can
 // demand a torn write, a duplicated frame, or a hard crash at exactly that
@@ -24,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/codec.h"
 #include "common/types.h"
 
 namespace rcommit::db {
@@ -158,11 +166,12 @@ class WriteAheadLog {
   /// owner rebuilding its state from the log decodes it only once.
   explicit WriteAheadLog(std::filesystem::path path, const WalVisitor& visit = {});
 
-  /// Appends one record, framed and checksummed. Outside group mode the
-  /// frame is written and flushed immediately, with the installed fault
-  /// hook's verdict for this site executed (which may throw CrashInjected).
-  /// Inside group mode the frame is buffered; it reaches the file — and the
-  /// fault hook — at the next group flush.
+  /// Appends one record, framed and checksummed into the pending buffer.
+  /// Outside group mode that one-frame group is written and flushed
+  /// immediately, with the installed fault hook's verdict for this site
+  /// executed (which may throw CrashInjected). Inside group mode the frame
+  /// stays buffered; it reaches the file — and the fault hook — at the next
+  /// group flush.
   void append(const WalRecord& record);
 
   // --- group commit ----------------------------------------------------------
@@ -174,8 +183,8 @@ class WriteAheadLog {
   // buffered group (a crash between the last batched append and the group
   // flush), kTorn tears mid-group (frames past the tear are lost, the WAL
   // ctor truncates the ragged tail), kDuplicate doubles the whole group
-  // (replay is idempotent record by record). A crash disposition drops the
-  // pending buffer before unwinding: the crashed group is gone, exactly as a
+  // (replay is idempotent record by record). A crash disposition empties the
+  // pending buffer as it unwinds: the crashed group is gone, exactly as a
   // real power cut would leave it. Destruction with a pending group likewise
   // drops it unflushed — owners flush at their commit points, never from a
   // destructor (a destructor flush would model a dead process writing).
@@ -214,7 +223,9 @@ class WriteAheadLog {
   WalFaultHook* fault_hook_ = nullptr;
   bool group_open_ = false;
   WalGroupLimits limits_;
-  std::vector<uint8_t> pending_;  ///< concatenated frames awaiting the flush
+  /// Concatenated frames awaiting the flush, encoded in place; reused (its
+  /// capacity kept) across flushes.
+  BufWriter pending_;
   int64_t pending_records_ = 0;
 };
 

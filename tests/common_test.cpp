@@ -207,6 +207,24 @@ TEST(Codec, TruncatedStringThrows) {
   EXPECT_THROW(r.str(), CodecError);
 }
 
+TEST(Codec, PatchU32OverwritesInPlaceAndClearKeepsCapacity) {
+  BufWriter w;
+  w.u8(0xaa);
+  w.u32(0);
+  w.str("body");
+  w.patch_u32(1, 0x04030201u);
+  BufReader r(w.data());
+  EXPECT_EQ(r.u8(), 0xaa);
+  EXPECT_EQ(r.u32(), 0x04030201u);
+  EXPECT_EQ(r.str(), "body");
+  EXPECT_THROW(w.patch_u32(w.size() - 3, 0), CheckFailure);
+
+  const size_t capacity = w.data().capacity();
+  w.clear();
+  EXPECT_EQ(w.size(), 0u);
+  EXPECT_EQ(w.data().capacity(), capacity);
+}
+
 TEST(Codec, MalformedVarintThrows) {
   // 11 continuation bytes exceed the 64-bit budget.
   std::vector<uint8_t> bad(11, 0x80);
@@ -222,6 +240,35 @@ TEST(Codec, Crc32cKnownVector) {
   const std::string digits = "123456789";
   std::vector<uint8_t> d(digits.begin(), digits.end());
   EXPECT_EQ(crc32c(d), 0xe3069283u);
+}
+
+/// The definition of CRC-32C, one bit at a time: the reference the
+/// table-driven implementation must agree with.
+uint32_t crc32c_bitwise(std::span<const uint8_t> data) {
+  uint32_t crc = 0xffffffff;
+  for (uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82f63b78 : crc >> 1;
+    }
+  }
+  return crc ^ 0xffffffff;
+}
+
+TEST(Codec, Crc32cMatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-257 cover the empty input, tails of every size below the
+  // eight-byte step, and many whole steps; offsets 0-7 start the input at
+  // every alignment relative to those steps.
+  RandomTape rng(42);
+  std::vector<uint8_t> buf(257 + 7);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.next_below(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 257; ++len) {
+      const std::span<const uint8_t> data(buf.data() + offset, len);
+      ASSERT_EQ(crc32c(data), crc32c_bitwise(data))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(Codec, CrcDetectsSingleBitFlip) {

@@ -5,6 +5,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/codec.h"
@@ -38,6 +41,39 @@ class TempDir {
 };
 
 // --- WAL -------------------------------------------------------------------------
+
+/// The bytes of one well-framed record, as WriteAheadLog::append must write
+/// it, built independently of the log: body first, then its header.
+std::vector<uint8_t> frame_bytes(uint8_t type, TxnId txn, std::string_view key = "",
+                                 std::string_view value = "") {
+  BufWriter body;
+  body.u8(type);
+  body.svarint(txn);
+  body.str(key);
+  body.str(value);
+  BufWriter frame;
+  frame.u32(static_cast<uint32_t>(body.size()));
+  frame.u32(crc32c(std::span<const uint8_t>(body.data())));
+  std::vector<uint8_t> bytes = frame.take();
+  bytes.insert(bytes.end(), body.data().begin(), body.data().end());
+  return bytes;
+}
+
+/// The concatenated frames of `records`, in order.
+std::vector<uint8_t> frames_of(const std::vector<WalRecord>& records) {
+  std::vector<uint8_t> bytes;
+  for (const auto& r : records) {
+    const auto frame = frame_bytes(static_cast<uint8_t>(r.type), r.txn_id, r.key, r.value);
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  }
+  return bytes;
+}
+
+std::vector<uint8_t> read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
 
 TEST(Wal, AppendReplayRoundTrip) {
   TempDir dir;
@@ -263,6 +299,140 @@ TEST(WalGroup, DestructionDropsPendingGroupUnflushed) {
   EXPECT_TRUE(wal.replay().empty());
 }
 
+// --- WAL bytes: the in-place encoder and its reused buffer ------------------------
+
+/// Every record type, negative and 2^40-sized ids, the int64 extremes, empty
+/// keys and values, and a 130-byte key whose length varint takes 2 bytes.
+std::vector<WalRecord> byte_identity_records() {
+  return {
+      {WalRecordType::kBegin, 1, "", ""},
+      {WalRecordType::kWrite, -1, "", ""},
+      {WalRecordType::kWrite, int64_t{1} << 40, std::string(130, 'k'), "v"},
+      {WalRecordType::kWrite, -(int64_t{1} << 40), "k", std::string(300, 'x')},
+      {WalRecordType::kPrepared, 7, "", encode_participant_list({0, 2, 5})},
+      {WalRecordType::kCommit, std::numeric_limits<int64_t>::max(), "", ""},
+      {WalRecordType::kAbort, std::numeric_limits<int64_t>::min(), "", ""},
+      {WalRecordType::kSnapshot, 0, "key", ""},
+      {WalRecordType::kBatchSeal, 42, "", encode_txn_list({42, 43})},
+  };
+}
+
+TEST(WalBytes, InPlaceEncoderWritesIndependentlyBuiltFrames) {
+  // The list twice: the second pass runs on the buffer the first one grew.
+  const auto once = byte_identity_records();
+  std::vector<WalRecord> records = once;
+  records.insert(records.end(), once.begin(), once.end());
+  const auto expected = frames_of(records);
+  // Header 8, type 1, zigzag varint of 2^40 6: the key length 130 is the
+  // 2-byte varint 0x82 0x01 at offset 15.
+  const auto long_key = frames_of({once[2]});
+  ASSERT_EQ(long_key[15], 0x82);
+  ASSERT_EQ(long_key[16], 0x01);
+
+  enum class Mode { kUngrouped, kOneGroup, kAutoFlush };
+  for (const Mode mode : {Mode::kUngrouped, Mode::kOneGroup, Mode::kAutoFlush}) {
+    SCOPED_TRACE(static_cast<int>(mode));
+    TempDir dir;
+    const auto wal_path = dir.path() / "bytes.wal";
+    {
+      WriteAheadLog wal(wal_path);
+      if (mode == Mode::kOneGroup) wal.begin_group(kSingleFlushGroup);
+      // 4 records per group: flushes land after records 4, 8, 12 and 16
+      // of 18, so groups straddle the two passes.
+      if (mode == Mode::kAutoFlush) wal.begin_group({.max_records = 4});
+      for (const auto& record : records) wal.append(record);
+      if (wal.group_open()) wal.end_group();
+      const int64_t expected_flushes =
+          mode == Mode::kUngrouped ? 18 : (mode == Mode::kOneGroup ? 1 : 5);
+      EXPECT_EQ(wal.stats().flushes, expected_flushes);
+      EXPECT_EQ(wal.stats().records_appended, 18);
+      EXPECT_EQ(wal.stats().bytes_written, static_cast<int64_t>(expected.size()));
+    }
+    EXPECT_EQ(read_file(wal_path), expected);
+    EXPECT_EQ(WriteAheadLog(wal_path).replay(), records);
+  }
+}
+
+TEST(WalBytes, DuplicatedGroupThenCleanGroupWritesG1G1G2) {
+  TempDir dir;
+  const auto wal_path = dir.path() / "dup.wal";
+  const std::vector<WalRecord> g1 = {{WalRecordType::kBegin, 1, "", ""},
+                                     {WalRecordType::kWrite, 1, "a", "1"}};
+  const std::vector<WalRecord> g2 = {{WalRecordType::kPrepared, 1, "", ""},
+                                     {WalRecordType::kCommit, 1, "", ""},
+                                     {WalRecordType::kBegin, 2, "", ""}};
+  {
+    WriteAheadLog wal(wal_path);
+    CountingHook hook;
+    hook.fault_at = 0;
+    hook.scripted.kind = WalAppendFault::Kind::kDuplicate;
+    wal.set_fault_hook(&hook);
+    wal.begin_group();
+    for (const auto& r : g1) wal.append(r);
+    wal.commit_group();
+    for (const auto& r : g2) wal.append(r);
+    wal.end_group();
+  }
+  std::vector<WalRecord> g1_g1_g2 = g1;
+  g1_g1_g2.insert(g1_g1_g2.end(), g1.begin(), g1.end());
+  g1_g1_g2.insert(g1_g1_g2.end(), g2.begin(), g2.end());
+  EXPECT_EQ(read_file(wal_path), frames_of(g1_g1_g2));
+}
+
+TEST(WalBytes, CrashedGroupNeverReachesTheFile) {
+  // The log keeps running on its reused buffer after the crash verdict, so a
+  // buffer not emptied on the crash path would write the crashed group again
+  // with the next one. Grouped and ungrouped (a group of one) alike.
+  const std::vector<WalRecord> g1 = {{WalRecordType::kBegin, 1, "", ""},
+                                     {WalRecordType::kWrite, 1, "a", "1"}};
+  const std::vector<WalRecord> g2 = {{WalRecordType::kWrite, 2, "b", "2"},
+                                     {WalRecordType::kPrepared, 2, "", ""}};
+  const std::vector<WalRecord> g3 = {{WalRecordType::kBegin, 3, "", ""},
+                                     {WalRecordType::kCommit, 3, "", ""}};
+  for (const auto kind : {WalAppendFault::Kind::kCrashBefore, WalAppendFault::Kind::kTorn}) {
+    for (const bool grouped : {true, false}) {
+      SCOPED_TRACE(std::string(kind == WalAppendFault::Kind::kTorn ? "torn" : "crash-before") +
+                   (grouped ? " grouped" : " ungrouped"));
+      TempDir dir;
+      const auto wal_path = dir.path() / "crash.wal";
+      // Torn: 5 bytes land, fewer than one frame header.
+      const size_t keep = kind == WalAppendFault::Kind::kTorn ? 5 : 0;
+      const auto write_group = [grouped](WriteAheadLog& wal, const std::vector<WalRecord>& g) {
+        if (grouped) wal.begin_group();
+        for (const auto& r : g) wal.append(r);
+        if (grouped) wal.end_group();
+      };
+      {
+        WriteAheadLog wal(wal_path);
+        CountingHook hook;
+        hook.fault_at = grouped ? 1 : static_cast<int64_t>(g1.size());  // g2's first write
+        hook.scripted.kind = kind;
+        hook.scripted.keep_bytes = keep;
+        wal.set_fault_hook(&hook);
+        write_group(wal, g1);
+        EXPECT_THROW(write_group(wal, g2), CrashInjected);
+        if (wal.group_open()) wal.end_group();  // empty: writes nothing
+        write_group(wal, g3);
+      }
+      const auto g1_bytes = frames_of(g1);
+      const auto g2_bytes = frames_of(g2);
+      const auto g3_bytes = frames_of(g3);
+      std::vector<uint8_t> expected = g1_bytes;
+      expected.insert(expected.end(), g2_bytes.begin(),
+                      g2_bytes.begin() + static_cast<std::ptrdiff_t>(keep));
+      expected.insert(expected.end(), g3_bytes.begin(), g3_bytes.end());
+      EXPECT_EQ(read_file(wal_path), expected);
+
+      // Reopening truncates a torn tail (taking g3, written behind it, along):
+      // of g2, not one byte survives.
+      std::vector<WalRecord> survivors = g1;
+      if (keep == 0) survivors.insert(survivors.end(), g3.begin(), g3.end());
+      EXPECT_EQ(WriteAheadLog(wal_path).replay(), survivors);
+      EXPECT_EQ(read_file(wal_path), frames_of(survivors));
+    }
+  }
+}
+
 TEST(WalGroup, TxnListRoundTrip) {
   const std::vector<int64_t> ids = {7, 40000000001, 3};
   EXPECT_EQ(decode_txn_list(encode_txn_list(ids)), ids);
@@ -468,21 +638,6 @@ TEST(Kv, CheckpointFlushesAndReopensGroup) {
 }
 
 // --- opening a damaged log ---------------------------------------------------------
-
-/// The bytes of one well-framed record, as WriteAheadLog::append writes it.
-std::vector<uint8_t> frame_bytes(uint8_t type, TxnId txn) {
-  BufWriter body;
-  body.u8(type);
-  body.svarint(txn);
-  body.str("");
-  body.str("");
-  BufWriter frame;
-  frame.u32(static_cast<uint32_t>(body.size()));
-  frame.u32(crc32c(std::span<const uint8_t>(body.data())));
-  std::vector<uint8_t> bytes = frame.take();
-  bytes.insert(bytes.end(), body.data().begin(), body.data().end());
-  return bytes;
-}
 
 void append_bytes(const fs::path& path, const std::vector<uint8_t>& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::app);
