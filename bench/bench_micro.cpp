@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark): the hot paths under the experiments —
-// codec round-trips, wire encode/decode, CRC, WAL appends, and raw simulator
-// event throughput. These quantify the substrate costs so the protocol-level
-// numbers in E1-E14 can be read with the constant factors in mind.
+// codec round-trips, wire encode/decode, CRC, WAL appends, KvStore commits,
+// and raw simulator event throughput. These quantify the substrate costs so
+// the protocol-level numbers in E1-E14 can be read with the constant factors
+// in mind.
 //
 // Runs under the shared bench harness instead of BENCHMARK_MAIN so it speaks
 // the same flags and emits the same JSON artifact as the E-benches; each
@@ -15,6 +16,7 @@
 #include "bench/harness.h"
 #include "common/codec.h"
 #include "common/rng.h"
+#include "db/kv.h"
 #include "db/wal.h"
 #include "protocol/commit.h"
 #include "protocol/messages.h"
@@ -103,6 +105,46 @@ void BM_WalGroupAppend(benchmark::State& state) {
   fs::remove(path);
 }
 BENCHMARK(BM_WalGroupAppend);
+
+/// One shard's share of a pipelined transaction: a 2-write prepare and its
+/// commit, in group mode (one flush per 256 records), against a store
+/// preloaded with 20k keys named as db::WorkloadGenerator names them.
+void BM_KvCommit(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() /
+                        ("rcommit_bm_kv_" + std::to_string(::getpid()) + ".wal");
+  fs::remove(path);
+  constexpr int kKeys = 20000;
+  const auto write = [](int key, db::TxnId txn) {
+    return db::KvWrite{"key:" + std::to_string(key), "txn-" + std::to_string(txn)};
+  };
+  std::vector<std::vector<db::KvWrite>> txns;
+  for (int i = 0; i < 256; ++i) {
+    txns.push_back(
+        {write(i * 7919 % kKeys, 4096 + i), write((i * 104729 + 1) % kKeys, 4096 + i)});
+  }
+  {
+    db::KvStore store(path);
+    store.wal_begin_group({.max_records = 256});
+    db::TxnId txn = 0;
+    for (int key = 0; key < kKeys; key += 2) {
+      ++txn;
+      benchmark::DoNotOptimize(store.prepare(txn, {write(key, txn), write(key + 1, txn)}));
+      store.commit(txn);
+    }
+    size_t next = 0;
+    for (auto _ : state) {
+      ++txn;
+      benchmark::DoNotOptimize(store.prepare(txn, txns[next], {0, 1, 2}));
+      store.commit(txn);
+      next = (next + 1) % txns.size();
+    }
+    store.wal_end_group();
+  }
+  state.SetItemsProcessed(state.iterations());
+  fs::remove(path);
+}
+BENCHMARK(BM_KvCommit);
 
 void BM_SimulatorCommitRun(benchmark::State& state) {
   const auto n = static_cast<int32_t>(state.range(0));

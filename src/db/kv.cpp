@@ -88,7 +88,7 @@ void KvStore::replay(WalRecord&& record) {
     case WalRecordType::kCommit: {
       auto it = staged_.find(record.txn_id);
       if (it != staged_.end()) {
-        apply(it->second);
+        apply(std::move(it->second));
         staged_.erase(it);
       }
       break;
@@ -97,15 +97,36 @@ void KvStore::replay(WalRecord&& record) {
       staged_.erase(record.txn_id);
       break;
     case WalRecordType::kSnapshot:
-      data_[std::move(record.key)] = std::move(record.value);
+      install(std::move(record.key), std::move(record.value));
       break;
     case WalRecordType::kBatchSeal:
       break;  // a recovery hint for RecoveryManager; carries no shard state
   }
 }
 
-void KvStore::apply(const Staged& staged) {
-  for (const auto& write : staged.writes) data_[write.key] = write.value;
+void KvStore::apply(Staged&& staged) {
+  for (auto& write : staged.writes) install(std::move(write.key), std::move(write.value));
+}
+
+void KvStore::install(std::string&& key, std::string&& value) {
+  // try_emplace leaves `key` alone when it is already present.
+  const auto [it, inserted] = data_.try_emplace(std::move(key));
+  it->second = std::move(value);
+  if (inserted) key_order_.push_back(&*it);
+}
+
+const std::vector<const KvStore::Entry*>& KvStore::sorted_entries() const {
+  if (sorted_prefix_ == key_order_.size()) return key_order_;
+  const auto by_key = [](const Entry* a, const Entry* b) { return a->first < b->first; };
+  const auto tail = key_order_.begin() + static_cast<std::ptrdiff_t>(sorted_prefix_);
+  // Sort only the keys added since the last call, then merge. A store opened
+  // from a compacted log adds its snapshot in key order: nothing to sort.
+  if (!std::is_sorted(tail, key_order_.end(), by_key)) {
+    std::sort(tail, key_order_.end(), by_key);
+  }
+  std::inplace_merge(key_order_.begin(), tail, key_order_.end(), by_key);
+  sorted_prefix_ = key_order_.size();
+  return key_order_;
 }
 
 bool KvStore::prepare(TxnId txn, const std::vector<KvWrite>& writes,
@@ -143,7 +164,7 @@ void KvStore::commit(TxnId txn) {
                     "commit of unprepared transaction " << txn);
   wal_->append({WalRecordType::kCommit, txn, "", ""});
   survey_backlog_.push_back({txn, ShardTxnStatus::kCommitted, {}});
-  apply(it->second);
+  apply(std::move(it->second));
   staged_.erase(it);
   locks_.unlock_all(txn);
 }
@@ -166,6 +187,12 @@ std::optional<std::string> KvStore::get(const std::string& key) const {
   auto it = data_.find(key);
   if (it == data_.end()) return std::nullopt;
   return it->second;
+}
+
+std::map<std::string, std::string> KvStore::snapshot() const {
+  std::map<std::string, std::string> out;
+  for (const Entry* entry : sorted_entries()) out.emplace_hint(out.end(), *entry);
+  return out;
 }
 
 std::vector<TxnId> KvStore::in_doubt() const {
@@ -233,8 +260,8 @@ void KvStore::checkpoint() {
     fresh.set_fault_hook(fault_hook_);
     // One group, one flush: the file is invisible until the rename below.
     fresh.begin_group(kSingleFlushGroup);
-    for (const auto& [key, value] : data_) {
-      fresh.append({WalRecordType::kSnapshot, 0, key, value});
+    for (const Entry* entry : sorted_entries()) {
+      fresh.append({WalRecordType::kSnapshot, 0, entry->first, entry->second});
     }
     // Carry pending (prepared, undecided) transactions forward so recovery
     // still surfaces them as in-doubt, participant lists included.

@@ -92,10 +92,11 @@ class KvStore {
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
   [[nodiscard]] size_t size() const { return data_.size(); }
 
-  /// The full committed state, for equivalence checking and digests.
-  [[nodiscard]] const std::map<std::string, std::string>& snapshot() const {
-    return data_;
-  }
+  /// A sorted copy of the full committed state, for equivalence checking and
+  /// digests. The store keeps its state hashed, so this builds a new map on
+  /// every call; bind it once rather than calling it per element. Like
+  /// survey(), it updates cached state: no concurrent calls on one store.
+  [[nodiscard]] std::map<std::string, std::string> snapshot() const;
 
   /// Transactions recovered from the WAL as prepared-but-undecided. The
   /// owner must resolve each with commit() or abort().
@@ -162,14 +163,30 @@ class KvStore {
     std::vector<int32_t> participants;  ///< kPrepared only
   };
 
+  using Entry = std::pair<const std::string, std::string>;
+
   /// Folds one replayed record into the store's state and survey.
   void replay(WalRecord&& record);
-  void apply(const Staged& staged);
+  /// Installs a committed transaction's writes, moving them out of `staged`
+  /// (whose entry the caller erases next).
+  void apply(Staged&& staged);
+  /// Sets `key` to `value` in the committed state: one hashed lookup.
+  void install(std::string&& key, std::string&& value);
+  /// Every committed entry, in key order.
+  const std::vector<const Entry*>& sorted_entries() const;
 
   std::unique_ptr<WriteAheadLog> wal_;
   WalGroupLimits group_limits_;  ///< last wal_begin_group limits (checkpoint)
   LockManager locks_;
-  std::map<std::string, std::string> data_;
+  /// The committed state. Hashed, so commit, replay and get() each do one
+  /// lookup; nothing iterates it.
+  std::unordered_map<std::string, std::string> data_;
+  /// data_'s entries for the readers that need key order (checkpoint() and
+  /// snapshot()). The first `sorted_prefix_` are in key order; keys inserted
+  /// since are appended and merged in lazily by sorted_entries(). Node
+  /// pointers survive rehashing, and the store never erases a key.
+  mutable std::vector<const Entry*> key_order_;
+  mutable size_t sorted_prefix_ = 0;
   std::map<TxnId, Staged> staged_;
   mutable ShardSurvey survey_;
   mutable std::vector<SurveyChange> survey_backlog_;

@@ -3,12 +3,13 @@
 namespace rcommit::db {
 
 bool LockManager::try_lock(const std::string& key, TxnId txn) {
-  auto [it, inserted] = holders_.emplace(key, txn);
-  if (!inserted && it->second != txn) {
+  const auto [it, inserted] = holders_.emplace(key, txn);
+  if (!inserted) {
+    if (it->second == txn) return true;  // already held, already recorded
     ++conflicts_;
     return false;
   }
-  keys_of_[txn].insert(key);
+  keys_of_[txn].push_back(key);
   return true;
 }
 

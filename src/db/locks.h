@@ -10,7 +10,6 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace rcommit::db {
@@ -47,7 +46,9 @@ class LockManager {
 
  private:
   std::unordered_map<std::string, TxnId> holders_;
-  std::unordered_map<TxnId, std::unordered_set<std::string>> keys_of_;
+  /// Each transaction's locked keys, without duplicates: a re-lock of a
+  /// key the transaction holds returns before recording it again.
+  std::unordered_map<TxnId, std::vector<std::string>> keys_of_;
   int64_t conflicts_ = 0;
 };
 

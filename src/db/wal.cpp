@@ -1,5 +1,8 @@
 #include "db/wal.h"
 
+#include <algorithm>
+#include <charconv>
+
 #include "common/check.h"
 #include "common/codec.h"
 
@@ -25,6 +28,40 @@ WalRecord decode_record(std::span<const uint8_t> body) {
   record.value = r.str();
   if (!r.exhausted()) throw CodecError("trailing bytes in WAL record");
   return record;
+}
+
+/// Comma-separated decimal, as the list codecs below write it.
+template <typename T>
+std::string encode_id_list(const std::vector<T>& ids) {
+  std::string out;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(ids[i]);
+  }
+  return out;
+}
+
+/// Inverse of encode_id_list, parsed in place: "" is the empty list; an
+/// empty part, anything but digits, or a value above T's maximum fails the
+/// check, naming the list as `what`.
+template <typename T>
+std::vector<T> decode_id_list(const std::string& text, const char* what) {
+  std::vector<T> ids;
+  if (text.empty()) return ids;
+  ids.reserve(static_cast<size_t>(std::count(text.begin(), text.end(), ',')) + 1);
+  const char* const end = text.data() + text.size();
+  const char* part = text.data();
+  while (true) {
+    T id{};
+    // from_chars takes a leading '-' for signed T, so require a digit first.
+    const auto [next, error] = std::from_chars(part, end, id);
+    RCOMMIT_CHECK_MSG(part != end && *part >= '0' && *part <= '9' &&
+                          error == std::errc{} && (next == end || *next == ','),
+                      "malformed " << what << ": '" << text << "'");
+    ids.push_back(id);
+    if (next == end) return ids;
+    part = next + 1;  // past the comma
+  }
 }
 
 }  // namespace
@@ -60,57 +97,17 @@ size_t scan_wal(const std::filesystem::path& path, const WalVisitor& visit) {
 }
 
 std::string encode_participant_list(const std::vector<int32_t>& ids) {
-  std::string out;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(ids[i]);
-  }
-  return out;
+  return encode_id_list(ids);
 }
 
 std::vector<int32_t> decode_participant_list(const std::string& text) {
-  std::vector<int32_t> ids;
-  if (text.empty()) return ids;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    const size_t comma = text.find(',', pos);
-    const std::string part =
-        text.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    RCOMMIT_CHECK_MSG(!part.empty() &&
-                          part.find_first_not_of("0123456789") == std::string::npos,
-                      "malformed participant list: '" << text << "'");
-    ids.push_back(static_cast<int32_t>(std::stol(part)));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return ids;
+  return decode_id_list<int32_t>(text, "participant list");
 }
 
-std::string encode_txn_list(const std::vector<int64_t>& ids) {
-  std::string out;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (i > 0) out += ',';
-    out += std::to_string(ids[i]);
-  }
-  return out;
-}
+std::string encode_txn_list(const std::vector<int64_t>& ids) { return encode_id_list(ids); }
 
 std::vector<int64_t> decode_txn_list(const std::string& text) {
-  std::vector<int64_t> ids;
-  if (text.empty()) return ids;
-  size_t pos = 0;
-  while (pos <= text.size()) {
-    const size_t comma = text.find(',', pos);
-    const std::string part =
-        text.substr(pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    RCOMMIT_CHECK_MSG(!part.empty() &&
-                          part.find_first_not_of("0123456789") == std::string::npos,
-                      "malformed txn list: '" << text << "'");
-    ids.push_back(std::stoll(part));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return ids;
+  return decode_id_list<int64_t>(text, "txn list");
 }
 
 WriteAheadLog::WriteAheadLog(std::filesystem::path path, const WalVisitor& visit)

@@ -118,15 +118,18 @@ size_t scan_wal(const std::filesystem::path& path, const WalVisitor& visit);
 /// legacy WALs and direct KvStore::prepare calls without a list stay valid.
 [[nodiscard]] std::string encode_participant_list(const std::vector<int32_t>& ids);
 /// Inverse of encode_participant_list; "" decodes to the empty list. Throws
-/// CheckFailure on malformed input (the record's CRC already passed, so a
-/// parse failure here is a logic bug, not corruption).
+/// CheckFailure on malformed input: an empty part, a non-digit or a value
+/// above INT32_MAX (the record's CRC already passed, so a parse failure here
+/// is a logic bug, not corruption).
 [[nodiscard]] std::vector<int32_t> decode_participant_list(const std::string& text);
 
 /// Encodes a kBatchSeal member list (64-bit instance ids, comma-separated
 /// decimal) into the record's value field. Same format family as the
 /// participant list, widened to the multi-shot txn-id space.
 [[nodiscard]] std::string encode_txn_list(const std::vector<int64_t>& ids);
-/// Inverse of encode_txn_list; "" decodes to the empty list.
+/// Inverse of encode_txn_list; "" decodes to the empty list. Throws
+/// CheckFailure on malformed input, as decode_participant_list does, with
+/// INT64_MAX as the bound.
 [[nodiscard]] std::vector<int64_t> decode_txn_list(const std::string& text);
 
 /// Monotonic WAL counters. `records_appended` counts logical appends

@@ -38,7 +38,7 @@ uint64_t state_digest(const std::vector<std::unique_ptr<db::KvStore>>& stores) {
   BufWriter w;
   for (size_t i = 0; i < stores.size(); ++i) {
     w.u32(static_cast<uint32_t>(i));
-    w.varint(stores[i]->snapshot().size());
+    w.varint(stores[i]->size());
     for (const auto& [key, value] : stores[i]->snapshot()) {
       w.str(key);
       w.str(value);

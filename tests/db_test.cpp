@@ -7,10 +7,12 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
 #include <string_view>
 
 #include "common/check.h"
 #include "common/codec.h"
+#include "common/rng.h"
 #include "db/kv.h"
 #include "db/locks.h"
 #include "db/txn.h"
@@ -434,10 +436,35 @@ TEST(WalBytes, CrashedGroupNeverReachesTheFile) {
 }
 
 TEST(WalGroup, TxnListRoundTrip) {
-  const std::vector<int64_t> ids = {7, 40000000001, 3};
+  const std::vector<int64_t> ids = {7, 40000000001, 3, 0, std::numeric_limits<int64_t>::max()};
+  EXPECT_EQ(encode_txn_list(ids), "7,40000000001,3,0,9223372036854775807");
   EXPECT_EQ(decode_txn_list(encode_txn_list(ids)), ids);
   EXPECT_TRUE(decode_txn_list("").empty());
   EXPECT_EQ(encode_txn_list({}), "");
+}
+
+TEST(Wal, ParticipantListRoundTripsUpToInt32Max) {
+  const std::vector<int32_t> participants = {0, 7, 2, std::numeric_limits<int32_t>::max()};
+  EXPECT_EQ(encode_participant_list(participants), "0,7,2,2147483647");
+  EXPECT_EQ(decode_participant_list(encode_participant_list(participants)), participants);
+  EXPECT_TRUE(decode_participant_list("").empty());
+}
+
+TEST(Wal, IdListsRejectMalformedText) {
+  // Empty parts, signs, non-digits and values past the target type all fail
+  // the check; none may be truncated or escape as another exception type.
+  for (const char* text : {"1,,2", "1,", ",1", ",", "-1", "+1", "a", "1a", " 1", "1 ",
+                           "2147483648", "99999999999999999999"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW((void)decode_participant_list(text), CheckFailure);
+  }
+  for (const char* text : {"1,,2", "1,", ",1", "-1", "a", "9223372036854775808",
+                           "99999999999999999999"}) {
+    SCOPED_TRACE(text);
+    EXPECT_THROW((void)decode_txn_list(text), CheckFailure);
+  }
+  // A participant list's bound is INT32_MAX; a txn list takes the same text.
+  EXPECT_EQ(decode_txn_list("2147483648"), std::vector<int64_t>{2147483648});
 }
 
 TEST(WalGroup, BatchSealRecordRoundTrips) {
@@ -468,6 +495,11 @@ TEST(Locks, ReentrantForSameTxn) {
   LockManager locks;
   EXPECT_TRUE(locks.try_lock("a", 1));
   EXPECT_TRUE(locks.try_lock("a", 1));
+  EXPECT_TRUE(locks.try_lock_all({"b", "a", "b"}, 1));
+  EXPECT_EQ(locks.locked_count(), 2u);
+  EXPECT_EQ(locks.conflicts(), 0);
+  locks.unlock_all(1);
+  EXPECT_EQ(locks.locked_count(), 0u);
 }
 
 TEST(Locks, UnlockAllReleasesEverything) {
@@ -769,6 +801,136 @@ TEST(Kv, RepeatedCheckpointsAreIdempotent) {
   store.checkpoint();
   EXPECT_EQ(fs::file_size(wal_path), size_once);
   EXPECT_EQ(store.get("x"), "1");
+}
+
+TEST(WalBytes, CheckpointWritesTheSortedSnapshotThenPendingTxns) {
+  // Keys committed out of order, overwritten, written twice in one
+  // transaction and added after an earlier checkpoint: the compacted log must
+  // still be one SNAPSHOT frame per key in key order, then each pending
+  // transaction, exactly as frames built from a sorted reference.
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  std::map<std::string, std::string> reference;
+  KvStore store(wal_path);
+  TxnId txn = 1;
+  const auto commit = [&](const std::vector<KvWrite>& writes) {
+    ASSERT_TRUE(store.prepare(txn, writes, {0, 1}));
+    store.commit(txn++);
+    for (const auto& write : writes) reference[write.key] = write.value;
+  };
+  commit({{"m", "1"}, {"c", "2"}});
+  commit({{"x", std::string(130, 'v')}, {"a", ""}, {"x", "twice"}});
+  commit({{"c", "3"}});
+  store.checkpoint();
+  commit({{"b", "4"}, {"zz", "5"}, {"a", "6"}});
+  commit({{"k10", "7"}, {"k2", "8"}, {std::string(130, 'k'), "9"}});
+  const TxnId pending = txn;
+  ASSERT_TRUE(store.prepare(pending, {{"p", "10"}, {"d", "11"}}, {0, 2}));
+  store.checkpoint();
+
+  std::vector<WalRecord> expected;
+  for (const auto& [key, value] : reference) {
+    expected.push_back({WalRecordType::kSnapshot, 0, key, value});
+  }
+  expected.push_back({WalRecordType::kBegin, pending, "", ""});
+  expected.push_back({WalRecordType::kWrite, pending, "p", "10"});
+  expected.push_back({WalRecordType::kWrite, pending, "d", "11"});
+  expected.push_back({WalRecordType::kPrepared, pending, "", "0,2"});
+  const auto expected_bytes = frames_of(expected);
+  EXPECT_EQ(read_file(wal_path), expected_bytes);
+  EXPECT_EQ(store.snapshot(), reference);
+
+  // A store opened from the compacted log compacts to the same bytes.
+  KvStore reopened(wal_path);
+  reopened.checkpoint();
+  EXPECT_EQ(read_file(wal_path), expected_bytes);
+}
+
+TEST(Kv, RandomHistoryMatchesReferenceModel) {
+  // Seeded random prepares, commits, aborts, checkpoints and reopens over a
+  // small key space that grows as the history runs, so keys repeat within
+  // and across transactions and new keys arrive after every sort. After each
+  // step, get(), size(), snapshot() and in_doubt() must match a reference
+  // std::map plus the set of prepared, undecided transactions, and each
+  // compacted log must list the reference's entries in order.
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    TempDir dir;
+    const auto wal_path = dir.path() / "kv.wal";
+    auto store = std::make_unique<KvStore>(wal_path);
+    RandomTape rng(seed);
+    std::map<std::string, std::string> committed;
+    std::map<TxnId, std::vector<KvWrite>> pending;  // prepared, undecided
+    TxnId next_txn = 1;
+    constexpr int kSteps = 300;
+    constexpr uint64_t kMaxKeys = 40;
+    const auto key_name = [](uint64_t k) {
+      std::string name = "k";  // appended, not "k" + ...: GCC 12 -Wrestrict misfires there
+      name += std::to_string(k);
+      return name;
+    };
+    const auto pick_pending = [&] {
+      auto it = pending.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.next_below(pending.size())));
+      return it;
+    };
+    for (int step = 0; step < kSteps; ++step) {
+      const uint64_t op = rng.next_below(10);
+      if (op < 4) {
+        const uint64_t key_space = std::min<uint64_t>(4 + static_cast<uint64_t>(step) / 8,
+                                                      kMaxKeys);
+        std::vector<KvWrite> writes;
+        bool conflict = false;
+        for (uint64_t i = 0, n = 1 + rng.next_below(3); i < n; ++i) {
+          std::string key = key_name(rng.next_below(key_space));
+          for (const auto& [txn, held] : pending) {
+            for (const auto& write : held) conflict = conflict || write.key == key;
+          }
+          writes.push_back({std::move(key), std::to_string(step) + "." + std::to_string(i)});
+        }
+        const TxnId txn = next_txn++;
+        EXPECT_EQ(store->prepare(txn, writes, {0}), !conflict);
+        if (!conflict) pending.emplace(txn, std::move(writes));
+      } else if (op < 6 && !pending.empty()) {
+        const auto it = pick_pending();
+        store->commit(it->first);
+        for (const auto& write : it->second) committed[write.key] = write.value;
+        pending.erase(it);
+      } else if (op < 8 && !pending.empty()) {
+        const auto it = pick_pending();
+        store->abort(it->first);
+        pending.erase(it);
+      } else if (op == 8) {
+        store->checkpoint();
+        // The compacted log holds one SNAPSHOT per key, in key order.
+        std::vector<std::pair<std::string, std::string>> compacted;
+        scan_wal(wal_path, [&](WalRecord&& record) {
+          if (record.type == WalRecordType::kSnapshot) {
+            compacted.emplace_back(std::move(record.key), std::move(record.value));
+          }
+        });
+        ASSERT_EQ(compacted, (std::vector<std::pair<std::string, std::string>>(
+                                 committed.begin(), committed.end())))
+            << "step " << step;
+      } else {
+        store.reset();
+        store = std::make_unique<KvStore>(wal_path);
+      }
+
+      ASSERT_EQ(store->size(), committed.size()) << "step " << step;
+      ASSERT_EQ(store->snapshot(), committed) << "step " << step;
+      for (uint64_t k = 0; k <= kMaxKeys; ++k) {
+        const std::string key = key_name(k);
+        const auto it = committed.find(key);
+        ASSERT_EQ(store->get(key),
+                  it == committed.end() ? std::nullopt : std::optional(it->second))
+            << "step " << step << " key " << key;
+      }
+      std::vector<TxnId> in_doubt;
+      for (const auto& [txn, writes] : pending) in_doubt.push_back(txn);
+      ASSERT_EQ(store->in_doubt(), in_doubt) << "step " << step;
+    }
+  }
 }
 
 // --- distributed transactions -----------------------------------------------------

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
+#include <thread>
 
 #include "db/kv.h"
 #include "db/recovery.h"
@@ -96,7 +97,6 @@ TEST_F(RpcClusterFixture, TwoClientsSameKeyAtMostOneCommits) {
         *stores.back(), net));
   }
   net.start();
-  for (auto& server : servers) server->start();
 
   auto run_client = [&net](ProcId id, TxnId txn, const std::string& value) {
     DbTxnClient client(id, net);
@@ -105,6 +105,16 @@ TEST_F(RpcClusterFixture, TwoClientsSameKeyAtMostOneCommits) {
   };
   auto f1 = std::async(std::launch::async, run_client, kShards, 201, "one");
   auto f2 = std::async(std::launch::async, run_client, kShards + 1, 202, "two");
+  // The servers start only once all four prepares sit in their inboxes, so
+  // each shard sees both transactions before deciding either. Otherwise a
+  // loaded host can run one client's whole commit before the other client
+  // sends, and two commits one after the other are correct.
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (net.frames_delivered() < 2 * kShards && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(100us);
+  }
+  ASSERT_EQ(net.frames_delivered(), 2 * kShards);
+  for (auto& server : servers) server->start();
   const auto o1 = f1.get();
   const auto o2 = f2.get();
   ASSERT_TRUE(o1.has_value());
