@@ -27,7 +27,7 @@
 #include "common/stats.h"
 #include "db/multishot.h"
 #include "db/txn.h"
-#include "faultinject/multitorture.h"
+#include "faultinject/torture.h"
 #include "metrics/report.h"
 
 namespace {
@@ -193,7 +193,7 @@ void body(bench::Context& ctx) {
   torture.seed = ctx.derive_seed(21);
   torture.scratch_dir = scratch_dir("torture");
   const auto sweep =
-      faultinject::run_multi_wal_sweep(torture, {.threads = 2});
+      faultinject::run_wal_sweep(torture, {.threads = 2});
   {
     std::error_code ec;
     fs::remove_all(torture.scratch_dir, ec);

@@ -1,6 +1,7 @@
 #include "faultinject/plan.h"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "common/check.h"
@@ -186,29 +187,70 @@ std::string FaultPlan::serialize() const {
 
 FaultPlan FaultPlan::deserialize(const std::string& text) {
   FaultPlan plan;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const size_t eq = line.find('=');
-    RCOMMIT_CHECK_MSG(eq != std::string::npos, "malformed plan line: " << line);
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
+  for_each_key_value(text, "plan", [&](std::string_view key, std::string_view value) {
     if (key == "seed") {
-      plan.seed_ = std::stoull(value);
+      parse_value(key, value, plan.seed_);
     } else if (key == "fault") {
-      std::istringstream fields(value);
-      int64_t site = 0;
-      std::string kind;
-      uint64_t arg = 0;
-      RCOMMIT_CHECK_MSG(static_cast<bool>(fields >> site >> kind >> arg),
+      // `site kind arg`, separated by single spaces.
+      const size_t kind_at = value.find(' ');
+      const size_t arg_at = value.find(' ', kind_at + 1);
+      RCOMMIT_CHECK_MSG(arg_at != std::string_view::npos,
                         "malformed fault action: " << value);
-      plan.add({site, parse_fault_kind(kind), arg});
+      FaultAction action;
+      parse_value("fault site", value.substr(0, kind_at), action.site);
+      action.kind = parse_fault_kind(
+          std::string(value.substr(kind_at + 1, arg_at - kind_at - 1)));
+      parse_value("fault arg", value.substr(arg_at + 1), action.arg);
+      plan.add(action);
     } else {
       RCOMMIT_CHECK_MSG(false, "unknown plan key '" << key << "'");
     }
-  }
+  });
   return plan;
+}
+
+void for_each_key_value(
+    std::string_view text, std::string_view what,
+    const std::function<void(std::string_view key, std::string_view value)>& field) {
+  while (!text.empty()) {
+    const size_t end = std::min(text.find('\n'), text.size());
+    const std::string_view line = text.substr(0, end);
+    text.remove_prefix(std::min(end + 1, text.size()));
+    if (line.empty() || line[0] == '#') continue;
+    const size_t eq = line.find('=');
+    RCOMMIT_CHECK_MSG(eq != std::string_view::npos,
+                      "malformed " << what << " line: " << line);
+    field(line.substr(0, eq), line.substr(eq + 1));
+  }
+}
+
+namespace {
+
+template <typename T>
+void parse_number(std::string_view key, std::string_view value, T& out) {
+  // from_chars takes no '+' and no whitespace, and takes '-' only for a
+  // signed T, so a whole-string match is exactly the accepted form.
+  const char* const end = value.data() + value.size();
+  const auto [next, error] = std::from_chars(value.data(), end, out);
+  RCOMMIT_CHECK_MSG(error == std::errc{} && next == end,
+                    "malformed value for '" << key << "': '" << value << "'");
+}
+
+}  // namespace
+
+void parse_value(std::string_view key, std::string_view value, int32_t& out) {
+  parse_number(key, value, out);
+}
+void parse_value(std::string_view key, std::string_view value, int64_t& out) {
+  parse_number(key, value, out);
+}
+void parse_value(std::string_view key, std::string_view value, uint64_t& out) {
+  parse_number(key, value, out);
+}
+void parse_value(std::string_view key, std::string_view value, bool& out) {
+  RCOMMIT_CHECK_MSG(value == "0" || value == "1",
+                    "malformed value for '" << key << "': '" << value << "' (want 0 or 1)");
+  out = value == "1";
 }
 
 }  // namespace rcommit::faultinject

@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rcommit::faultinject {
@@ -114,5 +116,27 @@ class FaultPlan {
   std::vector<FaultAction> wal_actions_;
   std::vector<FaultAction> rpc_actions_;
 };
+
+// --- key=value text -----------------------------------------------------------
+//
+// plan.txt and the torture artifacts' config.txt and report.txt share one
+// line format: `key=value`, with blank lines and `#` comments skipped. The
+// files come from outside the program, so malformed text throws CheckFailure
+// rather than being read as something else.
+
+/// Calls `field(key, value)` for every `key=value` line of `text`; a line
+/// without '=' fails the check, naming the file as `what`.
+void for_each_key_value(
+    std::string_view text, std::string_view what,
+    const std::function<void(std::string_view key, std::string_view value)>& field);
+
+/// Reads `value` as the whole of a decimal number of `out`'s type: digits,
+/// with one leading '-' only for a signed type. A non-digit, a sign on an
+/// unsigned field or overflow of the type fails the check, naming `key`.
+void parse_value(std::string_view key, std::string_view value, int32_t& out);
+void parse_value(std::string_view key, std::string_view value, int64_t& out);
+void parse_value(std::string_view key, std::string_view value, uint64_t& out);
+/// A bool is `0` or `1`.
+void parse_value(std::string_view key, std::string_view value, bool& out);
 
 }  // namespace rcommit::faultinject

@@ -5,10 +5,12 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/codec.h"
 #include "common/rng.h"
+#include "db/multishot.h"
 #include "db/txn.h"
 #include "db/workload.h"
 #include "swarm/pool.h"
@@ -19,20 +21,223 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// What the client observed for one transaction before the crash.
+// --- key=value forms ---------------------------------------------------------
+
+/// Calls `field(key, member)` for every line of the text form, in file order.
+/// serialize and deserialize both walk these lists, so they cannot drift.
+template <typename F>
+void fields(TortureOptions& o, F&& field) {
+  field("shard_count", o.shard_count);
+  field("txns", o.txns);
+  field("fanout", o.fanout);
+  field("keys_per_shard", o.keys_per_shard);
+  field("seed", o.seed);
+  field("min_delay_us", o.min_delay);
+  field("max_delay_us", o.max_delay);
+  field("txn_timeout_ms", o.txn_timeout);
+}
+
+template <typename F>
+void fields(MultiTortureOptions& o, F&& field) {
+  field("shard_count", o.shard_count);
+  field("batches", o.batches);
+  field("batch_size", o.batch_size);
+  field("fanout", o.fanout);
+  field("keys_per_shard", o.keys_per_shard);
+  // Absent keys keep their defaults (off), which is how corpus entries
+  // written before the group-commit knobs replay unchanged.
+  field("group_commit", o.group_commit);
+  field("decision_batch", o.decision_batch);
+  field("seed", o.seed);
+}
+
+template <typename F>
+void fields(CrashPointResult& r, F&& field) {
+  field("crashed", r.crashed);
+  field("crash_site", r.crash_site);
+  field("sites_seen", r.sites_seen);
+  field("resolved_commit", r.report.resolved_commit);
+  field("resolved_abort", r.report.resolved_abort);
+  field("reran_protocol", r.report.reran_protocol);
+  field("committed_txns", r.committed_txns);
+  field("digest", r.digest);
+  field("error", r.errors);  // one line per error
+}
+
+template <typename T>
+std::string write_fields(T object) {
+  std::ostringstream out;
+  fields(object, [&](const char* key, const auto& member) {
+    using V = std::decay_t<decltype(member)>;
+    if constexpr (std::is_same_v<V, std::vector<std::string>>) {
+      for (const auto& item : member) out << key << '=' << item << '\n';
+    } else if constexpr (requires { member.count(); }) {
+      out << key << '=' << member.count() << '\n';
+    } else {
+      out << key << '=' << member << '\n';  // a bool prints as 0 or 1
+    }
+  });
+  return out.str();
+}
+
+template <typename T>
+T read_fields(const std::string& text, const char* what) {
+  T object;
+  for_each_key_value(text, what, [&](std::string_view key, std::string_view value) {
+    bool known = false;
+    fields(object, [&](const char* name, auto& member) {
+      if (known || key != name) return;
+      known = true;
+      using V = std::decay_t<decltype(member)>;
+      if constexpr (std::is_same_v<V, std::vector<std::string>>) {
+        member.emplace_back(value);
+      } else if constexpr (requires { member.count(); }) {
+        typename V::rep count{};
+        parse_value(key, value, count);
+        member = V(count);
+      } else {
+        parse_value(key, value, member);
+      }
+    });
+    RCOMMIT_CHECK_MSG(known, "unknown " << what << " key '" << key << "'");
+  });
+  return object;
+}
+
+// --- the workload drivers ----------------------------------------------------
+
+/// What the driver observed for one transaction before the crash.
 enum class Observed {
   kCommitted,
   kAborted,
   kInDoubt,  ///< in flight at the crash, or the protocol left it undecided
 };
 
+Observed observe(const db::TxnOutcome& outcome) {
+  if (!outcome.decided) return Observed::kInDoubt;
+  return outcome.decision == Decision::kCommit ? Observed::kCommitted
+                                               : Observed::kAborted;
+}
+
 struct TxnRef {
   db::GeneratedTxn writes;
   Observed observed = Observed::kInDoubt;
 };
 
-/// The pre-held in-doubt transaction on shard 0 (see run_crash_point).
-constexpr db::TxnId kHotTxn = 1'000'000;
+/// What a driver leaves behind: the reference model, and the crash if the
+/// plan fired one.
+struct WorkloadRun {
+  std::map<db::TxnId, TxnRef> reference;
+  /// Every transaction, in the order its writes would take effect.
+  std::vector<db::TxnId> execution_order;
+  bool crashed = false;
+  int64_t crash_site = -1;
+  std::vector<SiteInfo> sites;  ///< the WAL sites reached, in order
+};
+
+db::WorkloadGenerator make_generator(const auto& options) {
+  return db::WorkloadGenerator({.shard_count = options.shard_count,
+                                .keys_per_shard = options.keys_per_shard,
+                                .fanout = options.fanout,
+                                .writes_per_shard = 1,
+                                .skew = 0.0},
+                               options.seed);
+}
+
+/// The serial workload against a fresh DistributedDb in the scratch dir.
+WorkloadRun drive(const TortureOptions& options, FaultInjector& injector) {
+  // Past every id the workload allocates (from 1).
+  constexpr db::TxnId kHotTxn = 1'000'000;
+  WorkloadRun run;
+  db::DistributedDb::Options dopts;
+  dopts.shard_count = options.shard_count;
+  dopts.data_dir = options.scratch_dir;
+  dopts.seed = options.seed;
+  dopts.network = {.min_delay = options.min_delay, .max_delay = options.max_delay};
+  dopts.txn_timeout = options.txn_timeout;
+  dopts.wal_fault_hook = &injector;
+  try {
+    db::DistributedDb database(dopts);
+    // A transaction prepared on shard 0 and held in doubt for the whole run.
+    run.reference[kHotTxn].writes = {{0, {{"hot", "held"}}}};
+    RCOMMIT_CHECK(database.shard(0).prepare(kHotTxn, {{"hot", "held"}}, {0}));
+    db::WorkloadGenerator generator = make_generator(options);
+    for (int32_t i = 0; i < options.txns; ++i) {
+      db::GeneratedTxn writes = generator.next();
+      // Every third transaction contends on the held hot key.
+      if (i % 3 == 1) writes[0] = {{"hot", "steal-" + std::to_string(i)}};
+      const db::TxnId id = database.transactions_started() + 1;
+      run.reference[id].writes = writes;  // in flight until execute returns
+      run.execution_order.push_back(id);
+      run.reference[id].observed = observe(database.execute(writes));
+    }
+  } catch (const db::CrashInjected& crash) {
+    run.crashed = true;
+    run.crash_site = crash.site();
+  }
+  // The hot transaction resolves last (largest id, and recovery works in
+  // ascending id order); every write competing for its key aborts.
+  run.execution_order.push_back(kHotTxn);
+  return run;
+}
+
+/// The pipelined workload against a fresh MultiShotDb in the scratch dir.
+WorkloadRun drive(const MultiTortureOptions& options, FaultInjector& injector) {
+  // Its origin field sits past every real shard, so it can never collide
+  // with an engine-allocated id.
+  const db::TxnId hot_txn = db::make_txn_id(options.shard_count, 1);
+  WorkloadRun run;
+  db::MultiShotDb::Options mopts;
+  mopts.shard_count = options.shard_count;
+  mopts.data_dir = options.scratch_dir;
+  mopts.seed = options.seed;
+  mopts.decision_transport = db::DecisionTransport::kSimulator;
+  mopts.wal_fault_hook = &injector;
+  mopts.group_commit = options.group_commit;
+  mopts.decision_batch = options.decision_batch;
+  try {
+    db::MultiShotDb database(mopts);
+    // A transaction prepared on shard 0 and held in doubt for the whole run.
+    run.reference[hot_txn].writes = {{0, {{"hot", "held"}}}};
+    RCOMMIT_CHECK(database.shard(0).prepare(hot_txn, {{"hot", "held"}}, {0}));
+    db::WorkloadGenerator generator = make_generator(options);
+    // Mirror the engine's id allocation (per-origin sequences from 1) so the
+    // reference knows each instance's id before the batch runs — instances
+    // past a mid-batch crash simply never appear in any WAL.
+    std::vector<int64_t> next_sequence(static_cast<size_t>(options.shard_count), 1);
+    for (int32_t b = 0; b < options.batches; ++b) {
+      const int32_t origin = b % options.shard_count;
+      std::vector<db::GeneratedTxn> batch;
+      std::vector<db::TxnId> ids;
+      for (int32_t i = 0; i < options.batch_size; ++i) {
+        db::GeneratedTxn writes = generator.next();
+        // Every third instance contends on the held hot key.
+        if (i % 3 == 1) {
+          writes[0] = {{"hot", "steal-" + std::to_string(b) + "-" +
+                                   std::to_string(i)}};
+        }
+        const db::TxnId id = db::make_txn_id(
+            origin, next_sequence[static_cast<size_t>(origin)]++);
+        run.reference[id].writes = writes;
+        run.execution_order.push_back(id);
+        batch.push_back(std::move(writes));
+        ids.push_back(id);
+      }
+      const auto outcomes = database.execute_pipelined(origin, batch);
+      for (size_t i = 0; i < outcomes.size(); ++i) {
+        run.reference[ids[i]].observed = observe(outcomes[i]);
+      }
+    }
+  } catch (const db::CrashInjected& crash) {
+    run.crashed = true;
+    run.crash_site = crash.site();
+  }
+  // As in the serial workload: the hot instance resolves last.
+  run.execution_order.push_back(hot_txn);
+  return run;
+}
+
+// --- recovery and the checker ------------------------------------------------
 
 uint64_t state_digest(const std::vector<std::unique_ptr<db::KvStore>>& stores) {
   BufWriter w;
@@ -47,165 +252,55 @@ uint64_t state_digest(const std::vector<std::unique_ptr<db::KvStore>>& stores) {
   return crc32c(std::span<const uint8_t>(w.data()));
 }
 
-/// Runs the workload (hot prepare + txns generated transactions) against a
-/// fresh DistributedDb in `options.scratch_dir` with `injector` installed.
-/// Returns the reference model; sets `crashed`/`crash_site` if the plan
-/// fired a crash.
-std::map<db::TxnId, TxnRef> run_workload(const TortureOptions& options,
-                                         FaultInjector& injector, bool& crashed,
-                                         int64_t& crash_site) {
-  std::map<db::TxnId, TxnRef> reference;
-  db::DistributedDb::Options dopts;
-  dopts.shard_count = options.shard_count;
-  dopts.data_dir = options.scratch_dir;
-  dopts.seed = options.seed;
-  dopts.network = {.min_delay = options.min_delay, .max_delay = options.max_delay};
-  dopts.txn_timeout = options.txn_timeout;
-  dopts.wal_fault_hook = &injector;
-  try {
-    db::DistributedDb database(dopts);
-    // A pre-held in-doubt transaction on shard 0: it keeps the "hot" key
-    // locked for the whole run, so workload transactions that touch it vote
-    // abort (exercising the abort-validity path), and recovery must resolve
-    // it alongside whatever the crash leaves behind.
-    reference[kHotTxn].writes = {{0, {{"hot", "held"}}}};
-    reference[kHotTxn].observed = Observed::kInDoubt;
-    RCOMMIT_CHECK(database.shard(0).prepare(kHotTxn, {{"hot", "held"}}, {0}));
-
-    db::WorkloadGenerator generator(
-        {.shard_count = options.shard_count,
-         .keys_per_shard = options.keys_per_shard,
-         .fanout = options.fanout,
-         .writes_per_shard = 1,
-         .skew = 0.0},
-        options.seed);
-    for (int32_t i = 0; i < options.txns; ++i) {
-      db::GeneratedTxn writes = generator.next();
-      // Every third transaction contends on the held hot key.
-      if (i % 3 == 1) writes[0] = {{"hot", "steal-" + std::to_string(i)}};
-      const db::TxnId id = database.transactions_started() + 1;
-      auto& ref = reference[id];
-      ref.writes = writes;
-      ref.observed = Observed::kInDoubt;  // in flight until execute returns
-      const auto outcome = database.execute(writes);
-      if (outcome.decided) {
-        ref.observed = outcome.decision == Decision::kCommit ? Observed::kCommitted
-                                                             : Observed::kAborted;
-      }
-    }
-  } catch (const db::CrashInjected& crash) {
-    crashed = true;
-    crash_site = crash.site();
-  }
-  return reference;
-}
-
-std::string shard_error(int32_t shard, db::TxnId txn, const std::string& what) {
-  return "txn " + std::to_string(txn) + " on shard " + std::to_string(shard) +
-         ": " + what;
-}
-
-}  // namespace
-
-std::string TortureOptions::serialize() const {
-  std::ostringstream out;
-  out << "shard_count=" << shard_count << "\n"
-      << "txns=" << txns << "\n"
-      << "fanout=" << fanout << "\n"
-      << "keys_per_shard=" << keys_per_shard << "\n"
-      << "seed=" << seed << "\n"
-      << "min_delay_us=" << min_delay.count() << "\n"
-      << "max_delay_us=" << max_delay.count() << "\n"
-      << "txn_timeout_ms=" << txn_timeout.count() << "\n";
-  return out.str();
-}
-
-TortureOptions TortureOptions::deserialize(const std::string& text) {
-  TortureOptions options;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const size_t eq = line.find('=');
-    RCOMMIT_CHECK_MSG(eq != std::string::npos, "malformed config line: " << line);
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    if (key == "shard_count") options.shard_count = static_cast<int32_t>(std::stol(value));
-    else if (key == "txns") options.txns = static_cast<int32_t>(std::stol(value));
-    else if (key == "fanout") options.fanout = static_cast<int32_t>(std::stol(value));
-    else if (key == "keys_per_shard") options.keys_per_shard = static_cast<int32_t>(std::stol(value));
-    else if (key == "seed") options.seed = std::stoull(value);
-    else if (key == "min_delay_us") options.min_delay = std::chrono::microseconds(std::stoll(value));
-    else if (key == "max_delay_us") options.max_delay = std::chrono::microseconds(std::stoll(value));
-    else if (key == "txn_timeout_ms") options.txn_timeout = std::chrono::milliseconds(std::stoll(value));
-    else RCOMMIT_CHECK_MSG(false, "unknown config key '" << key << "'");
-  }
-  return options;
-}
-
-std::string CrashPointResult::serialize() const {
-  std::ostringstream out;
-  out << "crashed=" << (crashed ? 1 : 0) << "\n"
-      << "crash_site=" << crash_site << "\n"
-      << "sites_seen=" << sites_seen << "\n"
-      << "resolved_commit=" << report.resolved_commit << "\n"
-      << "resolved_abort=" << report.resolved_abort << "\n"
-      << "reran_protocol=" << report.reran_protocol << "\n"
-      << "committed_txns=" << committed_txns << "\n"
-      << "digest=" << digest << "\n";
-  for (const auto& error : errors) out << "error=" << error << "\n";
-  return out.str();
-}
-
-CrashPointResult CrashPointResult::deserialize(const std::string& text) {
-  CrashPointResult result;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    const size_t eq = line.find('=');
-    RCOMMIT_CHECK_MSG(eq != std::string::npos, "malformed report line: " << line);
-    const std::string key = line.substr(0, eq);
-    const std::string value = line.substr(eq + 1);
-    if (key == "crashed") result.crashed = value == "1";
-    else if (key == "crash_site") result.crash_site = std::stoll(value);
-    else if (key == "sites_seen") result.sites_seen = std::stoll(value);
-    else if (key == "resolved_commit") result.report.resolved_commit = std::stoll(value);
-    else if (key == "resolved_abort") result.report.resolved_abort = std::stoll(value);
-    else if (key == "reran_protocol") result.report.reran_protocol = std::stoll(value);
-    else if (key == "committed_txns") result.committed_txns = std::stoll(value);
-    else if (key == "digest") result.digest = std::stoull(value);
-    else if (key == "error") result.errors.push_back(value);
-    else RCOMMIT_CHECK_MSG(false, "unknown report key '" << key << "'");
-  }
-  return result;
-}
-
-CrashPointResult run_crash_point(const TortureOptions& options,
-                                 const FaultPlan& plan) {
-  RCOMMIT_CHECK_MSG(!options.scratch_dir.empty(), "scratch_dir is required");
-  fs::remove_all(options.scratch_dir);
-  fs::create_directories(options.scratch_dir);
-
-  CrashPointResult result;
-  FaultInjector injector(plan);
-  const auto reference =
-      run_workload(options, injector, result.crashed, result.crash_site);
-  result.sites_seen = injector.sites_seen();
-
-  // The process is dead; only the WALs remain. Reopen every shard from disk
-  // (no fault hook — recovery itself runs on healthy storage) and resolve.
+/// Every shard reopened from its WAL and resolved.
+struct Recovery {
   std::vector<std::unique_ptr<db::KvStore>> stores;
+  db::RecoveryReport report;
+  db::BatchSurvey survey;  ///< read back from disk after resolve_all
+};
+
+/// Reopens every shard from disk and resolves the whole in-doubt space.
+/// `hook` (may be null) is installed on the reopened stores, so resolve_all
+/// may crash at an outcome-group flush. Each store's survey is checked
+/// against its log on disk after the reopen and after resolve_all.
+template <typename Options>
+Recovery recover(const Options& options, db::WalFaultHook* hook,
+                 std::vector<std::string>& errors) {
+  Recovery recovery;
   std::vector<db::KvStore*> ptrs;
   for (int32_t i = 0; i < options.shard_count; ++i) {
-    stores.push_back(std::make_unique<db::KvStore>(
+    recovery.stores.push_back(std::make_unique<db::KvStore>(
         options.scratch_dir / ("shard-" + std::to_string(i) + ".wal")));
-    ptrs.push_back(stores.back().get());
+    recovery.stores.back()->set_fault_hook(hook);
+    ptrs.push_back(recovery.stores.back().get());
   }
-  db::RecoveryManager recovery(ptrs, {.seed = options.seed ^ 0x5ec0feULL});
-  result.report = recovery.resolve_all();
+  db::RecoveryManager manager(ptrs, {.seed = options.seed ^ 0x5ec0feULL});
+  const auto check_survey = [&](const char* when) {
+    db::BatchSurvey on_disk = manager.survey_all();
+    if (manager.survey_live() != on_disk) {
+      errors.push_back(std::string("stores' surveys differ from their logs ") + when);
+    }
+    return on_disk;
+  };
+  (void)check_survey("after the reopen");
+  recovery.report = manager.resolve_all();
+  recovery.survey = check_survey("after resolve_all");
+  return recovery;
+}
 
-  for (int32_t i = 0; i < options.shard_count; ++i) {
+std::string txn_error(db::TxnId txn, const std::string& what) {
+  return "txn " + std::to_string(txn) + ": " + what;
+}
+
+/// The crash-point checks of a recovered run against its reference; fills
+/// `result`'s verdict fields and returns every transaction's final outcome.
+std::map<db::TxnId, bool> check_recovery(const WorkloadRun& run,
+                                         const Recovery& recovery,
+                                         CrashPointResult& result) {
+  const auto& stores = recovery.stores;
+  const auto shard_count = static_cast<int32_t>(stores.size());
+  result.report = recovery.report;
+  for (int32_t i = 0; i < shard_count; ++i) {
     if (!stores[static_cast<size_t>(i)]->in_doubt().empty()) {
       result.errors.push_back("shard " + std::to_string(i) +
                               " still holds in-doubt transactions after recovery");
@@ -213,57 +308,59 @@ CrashPointResult run_crash_point(const TortureOptions& options,
   }
 
   // Final outcome of every transaction the reference knows about, per the
-  // recovered WALs; check it against what the client observed.
+  // recovered WALs (one survey — never a per-transaction rescan).
+  const db::BatchSurvey& survey = recovery.survey;
   std::map<db::TxnId, bool> committed;
-  for (const auto& [txn, ref] : reference) {
-    const auto statuses = recovery.survey(txn);
+  for (const auto& [txn, ref] : run.reference) {
     bool any_commit = false;
     bool any_abort = false;
-    for (const auto& [shard, status] : statuses) {
-      (void)shard;
+    for (int32_t shard = 0; shard < shard_count; ++shard) {
+      const auto status = survey.status(shard, txn);
       any_commit |= status == db::ShardTxnStatus::kCommitted;
       any_abort |= status == db::ShardTxnStatus::kAborted;
     }
     if (any_commit && any_abort) {
-      result.errors.push_back(shard_error(-1, txn, "shards disagree on the outcome"));
+      result.errors.push_back(txn_error(txn, "shards disagree on the outcome"));
     }
     committed[txn] = any_commit;
     if (ref.observed == Observed::kCommitted && !any_commit) {
       result.errors.push_back(
-          shard_error(-1, txn, "client-observed commit lost by recovery"));
+          txn_error(txn, "driver-observed commit lost by recovery"));
     }
     if (ref.observed == Observed::kAborted && any_commit) {
       result.errors.push_back(
-          shard_error(-1, txn, "client-observed abort resurrected as commit"));
+          txn_error(txn, "driver-observed abort resurrected as commit"));
     }
     if (any_commit) {
       ++result.committed_txns;
       // Atomicity: the whole intended participant set installed it.
       for (const auto& [shard, writes] : ref.writes) {
         (void)writes;
-        if (statuses.at(shard) != db::ShardTxnStatus::kCommitted) {
-          result.errors.push_back(
-              shard_error(shard, txn, "committed elsewhere but not installed here"));
+        if (survey.status(shard, txn) != db::ShardTxnStatus::kCommitted) {
+          result.errors.push_back(txn_error(
+              txn, "committed on some shards but not installed on shard " +
+                       std::to_string(shard)));
         }
       }
     }
   }
 
-  // Reference state: committed transactions' writes, applied in txn-id order
-  // (execution order for the workload; recovery resolves leftovers in the
-  // same ascending order, and committed key sets never overlap a hot-key
-  // conflict because the hot lock forces those votes to abort).
+  // Reference state: committed transactions' writes, applied in execution
+  // order. Transactions that commit overlapping keys never race (the serial
+  // engine runs one at a time; within a pipelined batch the no-wait lock
+  // table forces the later prepare to vote abort), so recovery's ascending-id
+  // resolution of the leftovers agrees with this order.
   std::vector<std::map<std::string, std::string>> expected(
-      static_cast<size_t>(options.shard_count));
-  for (const auto& [txn, ref] : reference) {
+      static_cast<size_t>(shard_count));
+  for (const db::TxnId txn : run.execution_order) {
     if (!committed[txn]) continue;
-    for (const auto& [shard, writes] : ref.writes) {
+    for (const auto& [shard, writes] : run.reference.at(txn).writes) {
       for (const auto& write : writes) {
         expected[static_cast<size_t>(shard)][write.key] = write.value;
       }
     }
   }
-  for (int32_t i = 0; i < options.shard_count; ++i) {
+  for (int32_t i = 0; i < shard_count; ++i) {
     const auto& actual = stores[static_cast<size_t>(i)]->snapshot();
     const auto& want = expected[static_cast<size_t>(i)];
     if (actual == want) continue;
@@ -286,31 +383,91 @@ CrashPointResult run_crash_point(const TortureOptions& options,
   }
 
   result.digest = state_digest(stores);
-  return result;
+  return committed;
 }
 
-std::vector<SiteInfo> enumerate_sites(const TortureOptions& options) {
+/// The workload under `plan`, with its WALs in a fresh scratch directory.
+template <typename Options>
+WorkloadRun run_workload(const Options& options, const FaultPlan& plan) {
   RCOMMIT_CHECK_MSG(!options.scratch_dir.empty(), "scratch_dir is required");
   fs::remove_all(options.scratch_dir);
   fs::create_directories(options.scratch_dir);
-  FaultInjector injector(FaultPlan::none());
-  bool crashed = false;
-  int64_t crash_site = -1;
-  run_workload(options, injector, crashed, crash_site);
-  RCOMMIT_CHECK_MSG(!crashed, "empty plan must not crash");
-  return injector.sites();
+  FaultInjector injector(plan);
+  WorkloadRun run = drive(options, injector);
+  run.sites = injector.sites();
+  return run;
 }
 
-SweepResult run_wal_sweep(const TortureOptions& options, const SweepOptions& sweep) {
-  SweepResult out;
-  {
-    TortureOptions probe = options;
-    probe.scratch_dir = options.scratch_dir / "enumerate";
-    out.sites = static_cast<int64_t>(enumerate_sites(probe).size());
-    fs::remove_all(probe.scratch_dir);
+/// One crash point: recovery of the WALs `run` left in the scratch dir,
+/// checked against its reference. With `recovery_plan`, a first recovery
+/// runs with that plan's injector on the reopened stores and the result's
+/// crash fields describe it; the checked recovery always reopens afterwards
+/// from whatever the WALs then hold.
+struct Point {
+  CrashPointResult result;
+  std::map<db::TxnId, bool> committed;  ///< every transaction's final outcome
+  db::RecoveryReport first_report;      ///< the hooked recovery's, if it finished
+};
+
+template <typename Options>
+Point check_point(const Options& options, const WorkloadRun& run,
+                  const FaultPlan* recovery_plan) {
+  Point point;
+  CrashPointResult& result = point.result;
+  result.crashed = run.crashed;
+  result.crash_site = run.crash_site;
+  result.sites_seen = static_cast<int64_t>(run.sites.size());
+
+  if (recovery_plan != nullptr) {
+    FaultInjector recovery_injector(*recovery_plan);
+    result.crashed = false;
+    result.crash_site = -1;
+    try {
+      point.first_report = recover(options, &recovery_injector, result.errors).report;
+    } catch (const db::CrashInjected& crash) {
+      result.crashed = true;
+      result.crash_site = crash.site();
+    }
+    result.sites_seen = recovery_injector.sites_seen();
   }
-  const int64_t sites = sweep.max_sites >= 0 ? std::min(out.sites, sweep.max_sites)
-                                             : out.sites;
+
+  // The process is dead; only the WALs remain. Reopen every shard from disk
+  // (no fault hook — this recovery runs on healthy storage) and resolve.
+  point.committed =
+      check_recovery(run, recover(options, nullptr, result.errors), result);
+  return point;
+}
+
+template <typename Options>
+CrashPointResult crash_point(const Options& options, const FaultPlan& plan) {
+  return check_point(options, run_workload(options, plan), nullptr).result;
+}
+
+template <typename Options>
+std::vector<SiteInfo> sites_of(const Options& options) {
+  WorkloadRun run = run_workload(options, FaultPlan::none());
+  RCOMMIT_CHECK_MSG(!run.crashed, "empty plan must not crash");
+  return std::move(run.sites);
+}
+
+template <typename Options>
+Options in_subdir(const Options& options, const std::string& name) {
+  Options sub = options;
+  sub.scratch_dir = options.scratch_dir / name;
+  return sub;
+}
+
+// --- sweeps and the shrinker -------------------------------------------------
+
+/// Runs `run_point` at every (site × kind) below `sites`, on the pool when
+/// asked, folding the results in enumeration order (thread-count
+/// independent). Each point gets its own scratch directory.
+template <typename Options, typename RunPoint>
+SweepResult sweep_sites(const Options& options, int64_t sites,
+                        const SweepOptions& sweep, const RunPoint& run_point) {
+  SweepResult out;
+  out.sites = sites;
+  if (sweep.max_sites >= 0) sites = std::min(sites, sweep.max_sites);
 
   struct Job {
     int64_t site;
@@ -329,14 +486,11 @@ SweepResult run_wal_sweep(const TortureOptions& options, const SweepOptions& swe
     // replayable from those two numbers alone.
     SplitMix64 mix(options.seed ^
                    (static_cast<uint64_t>(job.site) * 0x9e3779b97f4a7c15ULL));
-    TortureOptions point = options;
-    point.scratch_dir = options.scratch_dir /
-                        ("site" + std::to_string(job.site) + "-" +
-                         std::string(to_string(job.kind)));
+    const Options point = in_subdir(options, "site" + std::to_string(job.site) +
+                                                 "-" + to_string(job.kind));
     plans[static_cast<size_t>(j)] =
         FaultPlan::wal_fault_at(job.site, job.kind, mix.next());
-    results[static_cast<size_t>(j)] =
-        run_crash_point(point, plans[static_cast<size_t>(j)]);
+    results[static_cast<size_t>(j)] = run_point(point, plans[static_cast<size_t>(j)]);
     fs::remove_all(point.scratch_dir);
   };
   if (sweep.threads > 1) {
@@ -346,7 +500,6 @@ SweepResult run_wal_sweep(const TortureOptions& options, const SweepOptions& swe
     for (int64_t j = 0; j < static_cast<int64_t>(jobs.size()); ++j) run_one(j);
   }
 
-  // Fold in enumeration order: thread-count independent.
   for (size_t j = 0; j < jobs.size(); ++j) {
     ++out.crash_points;
     if (!results[j].ok()) out.failures.push_back({plans[j], results[j]});
@@ -354,23 +507,139 @@ SweepResult run_wal_sweep(const TortureOptions& options, const SweepOptions& swe
   return out;
 }
 
-FaultPlan shrink_fault_plan(const TortureOptions& options, const FaultPlan& plan,
-                            const swarm::ShrinkOptions& shrink, int* evals) {
+template <typename Options>
+SweepResult wal_sweep(const Options& options, const SweepOptions& sweep) {
+  const Options probe = in_subdir(options, "enumerate");
+  const auto sites = static_cast<int64_t>(sites_of(probe).size());
+  fs::remove_all(probe.scratch_dir);
+  return sweep_sites(options, sites, sweep, crash_point<Options>);
+}
+
+template <typename Options>
+SweepResult recovery_sweep(const Options& options, const FaultPlan& workload_plan,
+                           const SweepOptions& sweep) {
+  // The workload crashes once; every recovery point starts from a copy of
+  // the WALs it left, so the points differ only in how recovery crashed.
+  const Options crashed = in_subdir(options, "workload");
+  const WorkloadRun run = run_workload(crashed, workload_plan);
+  const auto recover_copy = [&](const Options& point, const FaultPlan& plan) {
+    fs::remove_all(point.scratch_dir);
+    fs::copy(crashed.scratch_dir, point.scratch_dir, fs::copy_options::recursive);
+    return check_point(point, run, &plan);
+  };
+  // The no-crash recovery, with an empty-plan injector on the reopened
+  // stores: it counts the outcome-group sites and is the baseline.
+  const Options probe = in_subdir(options, "baseline");
+  const Point baseline = recover_copy(probe, FaultPlan::none());
+  fs::remove_all(probe.scratch_dir);
+  RCOMMIT_CHECK_MSG(!baseline.result.crashed, "empty recovery plan must not crash");
+  RCOMMIT_CHECK_MSG(baseline.result.ok(),
+                    "the no-crash recovery fails its own checks:\n"
+                        << baseline.result.serialize());
+
+  SweepResult out = sweep_sites(
+      options, baseline.result.sites_seen, sweep,
+      [&](const Options& point_options, const FaultPlan& plan) {
+        Point point = recover_copy(point_options, plan);
+        auto& errors = point.result.errors;
+        if (point.committed != baseline.committed) {
+          errors.push_back("decisions differ from the no-crash recovery's");
+        }
+        if (point.result.digest != baseline.result.digest) {
+          errors.push_back("final state differs from the no-crash recovery's");
+        }
+        // Outcomes flushed before the crash are adopted by rule 1: the
+        // re-resolution never decides more transactions, nor reruns more
+        // rounds, than the crashed recovery set out to.
+        const db::RecoveryReport& before = baseline.first_report;
+        const db::RecoveryReport& after = point.result.report;
+        if (after.resolved_commit + after.resolved_abort >
+                before.resolved_commit + before.resolved_abort ||
+            after.reran_protocol > before.reran_protocol) {
+          errors.push_back("re-resolution did more than the crashed recovery");
+        }
+        return point.result;
+      });
+  fs::remove_all(crashed.scratch_dir);
+  return out;
+}
+
+template <typename Options>
+FaultPlan shrink_plan(const Options& options, const FaultPlan& plan,
+                      const swarm::ShrinkOptions& shrink, int* evals) {
   const auto all = plan.all_actions();
-  TortureOptions point = options;
-  point.scratch_dir = options.scratch_dir / "shrink";
+  const auto subset = [&](const std::vector<size_t>& keep) {
+    std::vector<FaultAction> actions;
+    actions.reserve(keep.size());
+    for (const size_t index : keep) actions.push_back(all[index]);
+    return plan.with_actions(actions);
+  };
+  const Options point = in_subdir(options, "shrink");
   const auto violates = [&](const std::vector<size_t>& keep) {
-    std::vector<FaultAction> subset;
-    subset.reserve(keep.size());
-    for (const size_t index : keep) subset.push_back(all[index]);
-    return !run_crash_point(point, plan.with_actions(subset)).ok();
+    return !crash_point(point, subset(keep)).ok();
   };
   const auto kept = swarm::ddmin_keep(all.size(), violates, shrink, evals);
   fs::remove_all(point.scratch_dir);
-  std::vector<FaultAction> subset;
-  subset.reserve(kept.size());
-  for (const size_t index : kept) subset.push_back(all[index]);
-  return plan.with_actions(subset);
+  return subset(kept);
+}
+
+}  // namespace
+
+std::string TortureOptions::serialize() const { return write_fields(*this); }
+TortureOptions TortureOptions::deserialize(const std::string& text) {
+  return read_fields<TortureOptions>(text, "config");
+}
+std::string MultiTortureOptions::serialize() const { return write_fields(*this); }
+MultiTortureOptions MultiTortureOptions::deserialize(const std::string& text) {
+  return read_fields<MultiTortureOptions>(text, "config");
+}
+std::string CrashPointResult::serialize() const { return write_fields(*this); }
+CrashPointResult CrashPointResult::deserialize(const std::string& text) {
+  return read_fields<CrashPointResult>(text, "report");
+}
+
+CrashPointResult run_crash_point(const TortureOptions& options,
+                                 const FaultPlan& plan) {
+  return crash_point(options, plan);
+}
+CrashPointResult run_crash_point(const MultiTortureOptions& options,
+                                 const FaultPlan& plan) {
+  return crash_point(options, plan);
+}
+
+std::vector<SiteInfo> enumerate_sites(const TortureOptions& options) {
+  return sites_of(options);
+}
+std::vector<SiteInfo> enumerate_sites(const MultiTortureOptions& options) {
+  return sites_of(options);
+}
+
+SweepResult run_wal_sweep(const TortureOptions& options, const SweepOptions& sweep) {
+  return wal_sweep(options, sweep);
+}
+SweepResult run_wal_sweep(const MultiTortureOptions& options,
+                          const SweepOptions& sweep) {
+  return wal_sweep(options, sweep);
+}
+
+SweepResult run_recovery_sweep(const TortureOptions& options,
+                               const FaultPlan& workload_plan,
+                               const SweepOptions& sweep) {
+  return recovery_sweep(options, workload_plan, sweep);
+}
+SweepResult run_recovery_sweep(const MultiTortureOptions& options,
+                               const FaultPlan& workload_plan,
+                               const SweepOptions& sweep) {
+  return recovery_sweep(options, workload_plan, sweep);
+}
+
+FaultPlan shrink_fault_plan(const TortureOptions& options, const FaultPlan& plan,
+                            const swarm::ShrinkOptions& shrink, int* evals) {
+  return shrink_plan(options, plan, shrink, evals);
+}
+FaultPlan shrink_fault_plan(const MultiTortureOptions& options, const FaultPlan& plan,
+                            const swarm::ShrinkOptions& shrink, int* evals) {
+  return shrink_plan(options, plan, shrink, evals);
 }
 
 void write_fault_artifact(const fs::path& dir, const FaultArtifact& artifact) {
@@ -380,16 +649,18 @@ void write_fault_artifact(const fs::path& dir, const FaultArtifact& artifact) {
     RCOMMIT_CHECK_MSG(out.is_open(), "cannot write " << (dir / name).string());
     out << contents;
   };
-  write_file("config.txt", artifact.options.serialize());
+  write_file("config.txt", std::visit([](const auto& options) { return options.serialize(); },
+                                      artifact.options));
   write_file("plan.txt", artifact.plan.serialize());
   write_file("report.txt", artifact.expected.serialize());
   write_file("README.txt",
              "Crash-point counterexample / regression entry.\n"
              "Reproduce with:\n\n  faultkit --artifact=" +
                  dir.string() +
-                 "\n\nconfig.txt is the workload, plan.txt the fault schedule,\n"
-                 "report.txt the expected post-recovery CrashPointResult\n"
-                 "(replay must reproduce it field for field).\n");
+                 "\n\nconfig.txt is the workload (the pipelined one if it has a\n"
+                 "batches= line), plan.txt the fault schedule, report.txt the\n"
+                 "expected post-recovery CrashPointResult (replay must\n"
+                 "reproduce it field for field).\n");
 }
 
 FaultArtifact load_fault_artifact(const fs::path& dir) {
@@ -400,11 +671,30 @@ FaultArtifact load_fault_artifact(const fs::path& dir) {
     buffer << in.rdbuf();
     return buffer.str();
   };
+  const std::string config = read_file("config.txt");
+  bool pipelined = false;
+  for_each_key_value(config, "config", [&](std::string_view key, std::string_view) {
+    pipelined |= key == "batches";
+  });
   FaultArtifact artifact;
-  artifact.options = TortureOptions::deserialize(read_file("config.txt"));
+  if (pipelined) {
+    artifact.options = MultiTortureOptions::deserialize(config);
+  } else {
+    artifact.options = TortureOptions::deserialize(config);
+  }
   artifact.plan = FaultPlan::deserialize(read_file("plan.txt"));
   artifact.expected = CrashPointResult::deserialize(read_file("report.txt"));
   return artifact;
+}
+
+CrashPointResult replay_fault_artifact(const FaultArtifact& artifact,
+                                       const fs::path& scratch_dir) {
+  return std::visit(
+      [&](auto options) {
+        options.scratch_dir = scratch_dir;
+        return run_crash_point(options, artifact.plan);
+      },
+      artifact.options);
 }
 
 }  // namespace rcommit::faultinject

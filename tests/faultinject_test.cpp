@@ -277,12 +277,10 @@ TEST(DdminKeepTest, NonViolatingSetReturnsUnchanged) {
   EXPECT_EQ(kept.size(), 5u);
 }
 
-TEST_F(FaultInjectFixture, ShrinkFaultPlanDropsIrrelevantActions) {
-  // Pad a crash with harmless duplicate actions; shrinking against the
-  // "did it crash" oracle must strip the padding and keep one crash action.
-  TortureOptions options;
-  options.scratch_dir = dir_ / "shrink";
-  options.txns = 3;
+/// Pads a crash with harmless duplicate actions; shrinking against the "did
+/// it crash" oracle must strip the padding and keep one crash action.
+template <typename Options>
+void expect_shrinks_to_the_crash(const Options& options, const fs::path& eval_dir) {
   FaultPlan plan = FaultPlan::none();
   plan.add({1, FaultKind::kDuplicate, 0});
   plan.add({4, FaultKind::kDuplicate, 0});
@@ -291,13 +289,25 @@ TEST_F(FaultInjectFixture, ShrinkFaultPlanDropsIrrelevantActions) {
   const auto violates = [&](const std::vector<size_t>& keep) {
     std::vector<FaultAction> subset;
     for (const size_t index : keep) subset.push_back(all[index]);
-    TortureOptions point = options;
-    point.scratch_dir = dir_ / "shrink-eval";
+    Options point = options;
+    point.scratch_dir = eval_dir;
     return run_crash_point(point, plan.with_actions(subset)).crashed;
   };
   const auto kept = swarm::ddmin_keep(all.size(), violates);
   ASSERT_EQ(kept.size(), 1u);
   EXPECT_EQ(all[kept[0]].kind, FaultKind::kCrashAfter);
+}
+
+TEST_F(FaultInjectFixture, ShrinkFaultPlanDropsIrrelevantActions) {
+  TortureOptions options;
+  options.txns = 3;
+  expect_shrinks_to_the_crash(options, dir_ / "shrink-eval");
+}
+
+TEST_F(FaultInjectFixture, ShrinkPipelinedFaultPlanDropsIrrelevantActions) {
+  // The same padding over the pipelined workload: site 6 falls inside the
+  // first batch, with several instances prepared and undecided.
+  expect_shrinks_to_the_crash(MultiTortureOptions{}, dir_ / "shrink-eval");
 }
 
 }  // namespace

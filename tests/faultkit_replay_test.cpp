@@ -1,15 +1,26 @@
 // Replays every committed crash-schedule artifact under tests/corpus_fault/
-// and requires the freshly computed CrashPointResult to match the stored
-// report field for field — the executable proof that a sweep failure is
+// (serial workload) through the loader that detects the workload, and
+// requires the freshly computed CrashPointResult to match the stored report
+// field for field — the executable proof that a sweep failure is
 // reproducible from its artifact alone (and that shrunk schedules replay to
-// the same RecoveryReport across code changes).
+// the same RecoveryReport across code changes). The pipelined corpus,
+// tests/corpus_multishot/, replays the same way in torture_test
+// (MultiShotTortureFixture.CorpusEntriesReplayIdentically). The artifact
+// files are input from outside the program, so the rest of this file checks
+// that malformed text is rejected, never misread.
 //
 // Regenerate an entry with:
 //   faultkit --replay --site=N --kind=K --arg=A --save=tests/corpus_fault/<name>
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <limits>
+#include <string>
+#include <variant>
 
+#include "common/check.h"
 #include "faultinject/torture.h"
 
 namespace rcommit::faultinject {
@@ -25,19 +36,19 @@ TEST(FaultkitReplayTest, CorpusArtifactsReplayIdentically) {
     if (!entry.is_directory()) continue;
     SCOPED_TRACE(entry.path().filename().string());
     const FaultArtifact artifact = load_fault_artifact(entry.path());
-    TortureOptions options = artifact.options;
-    options.scratch_dir = fs::temp_directory_path() /
-                          ("rcommit_faultkit_replay_" +
-                           std::to_string(::getpid()) + "_" +
-                           entry.path().filename().string());
-    const CrashPointResult result = run_crash_point(options, artifact.plan);
+    EXPECT_TRUE(std::holds_alternative<TortureOptions>(artifact.options));
+    const fs::path scratch = fs::temp_directory_path() /
+                             ("rcommit_faultkit_replay_" +
+                              std::to_string(::getpid()) + "_" +
+                              entry.path().filename().string());
+    const CrashPointResult result = replay_fault_artifact(artifact, scratch);
     EXPECT_EQ(result, artifact.expected)
         << "expected:\n"
         << artifact.expected.serialize() << "got:\n"
         << result.serialize();
     EXPECT_EQ(result.report, artifact.expected.report);
     std::error_code ec;
-    fs::remove_all(options.scratch_dir, ec);
+    fs::remove_all(scratch, ec);
     ++replayed;
   }
   EXPECT_GT(replayed, 0) << "empty corpus at " << corpus;
@@ -58,11 +69,100 @@ TEST(FaultkitReplayTest, ArtifactRoundTripsThroughDisk) {
   expected.errors = {"sample error"};
   write_fault_artifact(dir, {options, plan, expected});
   const FaultArtifact back = load_fault_artifact(dir);
-  EXPECT_EQ(back.options.serialize(), options.serialize());
+  ASSERT_TRUE(std::holds_alternative<TortureOptions>(back.options));
+  EXPECT_EQ(std::get<TortureOptions>(back.options).serialize(), options.serialize());
   EXPECT_EQ(back.plan, plan);
   EXPECT_EQ(back.expected, expected);
   std::error_code ec;
   fs::remove_all(dir, ec);
+}
+
+TEST(FaultkitReplayTest, ExtremeValuesRoundTrip) {
+  // Every field's type limits survive the text form: the parser rejects
+  // only what does not fit, never what the writer can write.
+  constexpr auto kMaxU64 = std::numeric_limits<uint64_t>::max();
+  constexpr auto kMaxI32 = std::numeric_limits<int32_t>::max();
+  TortureOptions serial;
+  serial.seed = kMaxU64;
+  serial.txns = kMaxI32;
+  serial.min_delay = std::chrono::microseconds(std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(TortureOptions::deserialize(serial.serialize()).serialize(),
+            serial.serialize());
+  MultiTortureOptions pipelined;
+  pipelined.seed = kMaxU64;
+  pipelined.batch_size = kMaxI32;
+  pipelined.group_commit = true;
+  EXPECT_EQ(MultiTortureOptions::deserialize(pipelined.serialize()).serialize(),
+            pipelined.serialize());
+  CrashPointResult result;
+  result.crash_site = -1;
+  result.sites_seen = std::numeric_limits<int64_t>::max();
+  result.digest = kMaxU64;
+  result.errors = {"a=b", ""};
+  EXPECT_EQ(CrashPointResult::deserialize(result.serialize()), result);
+  FaultPlan plan = FaultPlan::wal_fault_at(std::numeric_limits<int64_t>::max(),
+                                           FaultKind::kTornWrite, kMaxU64);
+  EXPECT_EQ(FaultPlan::deserialize(plan.serialize()), plan);
+}
+
+// --- malformed input -----------------------------------------------------------
+
+TEST(FaultkitReplayTest, NonDigitValueIsRejected) {
+  EXPECT_THROW((void)TortureOptions::deserialize("txns=abc\n"), CheckFailure);
+  EXPECT_THROW((void)TortureOptions::deserialize("txns=4x\n"), CheckFailure);
+  EXPECT_THROW((void)TortureOptions::deserialize("txns=\n"), CheckFailure);
+  EXPECT_THROW((void)MultiTortureOptions::deserialize("batches= 3\n"), CheckFailure);
+  EXPECT_THROW((void)CrashPointResult::deserialize("digest=12.5\n"), CheckFailure);
+  EXPECT_THROW((void)FaultPlan::deserialize("fault=x torn 1\n"), CheckFailure);
+  EXPECT_THROW((void)FaultPlan::deserialize("fault=1 torn 0x10\n"), CheckFailure);
+
+  // Through the loader too: a whole artifact with one bad config value.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("rcommit_fault_malformed_" + std::to_string(::getpid()));
+  write_fault_artifact(dir, {TortureOptions{}, FaultPlan::none(), CrashPointResult{}});
+  std::ofstream(dir / "config.txt", std::ios::trunc) << "shard_count=3\ntxns=abc\n";
+  EXPECT_THROW((void)load_fault_artifact(dir), CheckFailure);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST(FaultkitReplayTest, SignOnUnsignedFieldIsRejected) {
+  EXPECT_THROW((void)FaultPlan::deserialize("seed=-1\n"), CheckFailure);
+  EXPECT_THROW((void)FaultPlan::deserialize("fault=1 torn -1\n"), CheckFailure);
+  EXPECT_THROW((void)TortureOptions::deserialize("seed=-1\n"), CheckFailure);
+  EXPECT_THROW((void)MultiTortureOptions::deserialize("seed=-1\n"), CheckFailure);
+  EXPECT_THROW((void)CrashPointResult::deserialize("digest=-5\n"), CheckFailure);
+  // A '+' is no sign the writer emits, on any field.
+  EXPECT_THROW((void)TortureOptions::deserialize("seed=+1\n"), CheckFailure);
+  EXPECT_THROW((void)TortureOptions::deserialize("fanout=+2\n"), CheckFailure);
+  // A signed field takes its '-'.
+  EXPECT_EQ(CrashPointResult::deserialize("crash_site=-1\n").crash_site, -1);
+}
+
+TEST(FaultkitReplayTest, OverflowOfTheFieldTypeIsRejected) {
+  // 4294967304 = 2^32 + 8: it must not wrap to batch_size=8.
+  EXPECT_THROW((void)MultiTortureOptions::deserialize("batch_size=4294967304\n"),
+               CheckFailure);
+  EXPECT_THROW((void)TortureOptions::deserialize("txns=2147483648\n"), CheckFailure);
+  EXPECT_THROW((void)CrashPointResult::deserialize("crash_site=9223372036854775808\n"),
+               CheckFailure);
+  EXPECT_THROW((void)CrashPointResult::deserialize("digest=18446744073709551616\n"),
+               CheckFailure);
+  EXPECT_THROW((void)FaultPlan::deserialize("seed=18446744073709551616\n"),
+               CheckFailure);
+  EXPECT_THROW(
+      (void)TortureOptions::deserialize("txn_timeout_ms=9223372036854775808\n"),
+      CheckFailure);
+}
+
+TEST(FaultkitReplayTest, BoolOtherThanZeroOrOneIsRejected) {
+  EXPECT_THROW((void)CrashPointResult::deserialize("crashed=yes\n"), CheckFailure);
+  EXPECT_THROW((void)CrashPointResult::deserialize("crashed=2\n"), CheckFailure);
+  EXPECT_THROW((void)MultiTortureOptions::deserialize("group_commit=true\n"),
+               CheckFailure);
+  EXPECT_THROW((void)MultiTortureOptions::deserialize("group_commit=\n"), CheckFailure);
+  EXPECT_TRUE(CrashPointResult::deserialize("crashed=1\n").crashed);
+  EXPECT_FALSE(MultiTortureOptions::deserialize("group_commit=0\n").group_commit);
 }
 
 }  // namespace

@@ -5,7 +5,8 @@
 //   --sweep              exhaustive (site × kind) recovery-equivalence sweep;
 //                        failures are shrunk and written as artifacts
 //   --replay             run one crash point: --site=N --kind=K [--arg=A]
-//   --artifact=<dir>     replay a saved artifact and diff against its report
+//   --artifact=<dir>     replay a saved artifact and diff against its report;
+//                        exit 2 if it is missing, malformed or out of range
 //
 // Workload knobs (--seed --shards --txns --fanout --keys) feed TortureOptions;
 // a sweep failure is reproducible from (seed, site) alone — see
@@ -19,10 +20,10 @@
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <variant>
 
 #include "common/check.h"
 #include "common/flags.h"
-#include "faultinject/multitorture.h"
 #include "faultinject/torture.h"
 
 namespace {
@@ -35,7 +36,8 @@ const std::vector<FlagDoc> kDocs = {
     {"enumerate", "", "list reachable WAL injection sites"},
     {"sweep", "", "exhaustive (site x kind) recovery-equivalence sweep"},
     {"replay", "", "run one crash point (--site, --kind, --arg)"},
-    {"artifact", "dir", "replay a saved artifact; exit 1 on report mismatch"},
+    {"artifact", "dir", "replay a saved artifact; exit 1 on report mismatch, 2 if "
+                         "malformed"},
     {"site", "N", "WAL site for --replay"},
     {"kind", "name", "fault kind for --replay (crash-before, torn, "
                      "partial-flush, duplicate, crash-after)"},
@@ -74,13 +76,15 @@ void print_sites(const std::vector<SiteInfo>& sites) {
   std::cout << sites.size() << " reachable WAL sites\n";
 }
 
-int run_enumerate(const TortureOptions& options) {
+template <typename Options>
+int run_enumerate(const Options& options) {
   print_sites(enumerate_sites(options));
   return 0;
 }
 
-int run_sweep(const TortureOptions& options, const SweepOptions& sweep,
-              const std::string& artifacts_dir) {
+template <typename Options>
+int run_sweep(const Options& options, const SweepOptions& sweep,
+              const std::string& artifacts_dir, const std::string& artifact_prefix) {
   const auto result = run_wal_sweep(options, sweep);
   std::cout << "sites=" << result.sites << " crash_points=" << result.crash_points
             << " failures=" << result.failures.size() << "\n";
@@ -88,111 +92,49 @@ int run_sweep(const TortureOptions& options, const SweepOptions& sweep,
   for (const auto& failure : result.failures) {
     std::cout << "\nFAIL plan:\n" << failure.plan.serialize() << "result:\n";
     print_result(failure.result);
-    TortureOptions shrink_options = options;
-    shrink_options.scratch_dir = options.scratch_dir / "shrink";
-    const FaultPlan shrunk = shrink_fault_plan(shrink_options, failure.plan);
-    if (!artifacts_dir.empty()) {
-      TortureOptions clean = options;
-      clean.scratch_dir.clear();
-      TortureOptions replay_options = options;
-      replay_options.scratch_dir = options.scratch_dir / "artifact-replay";
-      FaultArtifact artifact{clean, shrunk,
-                             run_crash_point(replay_options, shrunk)};
-      fs::remove_all(replay_options.scratch_dir);
-      const fs::path dir =
-          fs::path(artifacts_dir) / ("fault-" + std::to_string(index++));
-      write_fault_artifact(dir, artifact);
-      std::cout << "artifact: " << dir.string() << "\n";
-      std::cout << "reproduce: faultkit --artifact=" << dir.string() << "\n";
-    }
+    if (artifacts_dir.empty()) continue;
+    const FaultPlan shrunk = shrink_fault_plan(options, failure.plan);
+    Options replay_options = options;
+    replay_options.scratch_dir = options.scratch_dir / "artifact-replay";
+    const CrashPointResult expected = run_crash_point(replay_options, shrunk);
+    fs::remove_all(replay_options.scratch_dir);
+    const fs::path dir =
+        fs::path(artifacts_dir) / (artifact_prefix + std::to_string(index++));
+    write_fault_artifact(dir, {options, shrunk, expected});
+    std::cout << "artifact: " << dir.string() << "\n";
+    std::cout << "reproduce: faultkit --artifact=" << dir.string() << "\n";
   }
   return result.ok() ? 0 : 1;
 }
 
-int run_replay(const TortureOptions& options, int64_t site,
-               const std::string& kind_name, uint64_t arg,
-               const std::string& save_dir) {
+template <typename Options>
+int run_replay(const Options& options, int64_t site, const std::string& kind_name,
+               uint64_t arg, const std::string& save_dir) {
   const FaultKind kind = parse_fault_kind(kind_name);
   RCOMMIT_CHECK_MSG(is_wal_kind(kind), "--replay takes a WAL fault kind");
   const FaultPlan plan = FaultPlan::wal_fault_at(site, kind, arg);
   const auto result = run_crash_point(options, plan);
   print_result(result);
   if (!save_dir.empty()) {
-    TortureOptions clean = options;
-    clean.scratch_dir.clear();
-    write_fault_artifact(save_dir, {clean, plan, result});
+    write_fault_artifact(save_dir, {options, plan, result});
     std::cout << "artifact: " << save_dir << "\n";
   }
   return result.ok() ? 0 : 1;
-}
-
-int run_multi_enumerate(const MultiTortureOptions& options) {
-  print_sites(enumerate_multi_sites(options));
-  return 0;
-}
-
-int run_multi_sweep(const MultiTortureOptions& options, const SweepOptions& sweep,
-                    const std::string& artifacts_dir) {
-  const auto result = run_multi_wal_sweep(options, sweep);
-  std::cout << "sites=" << result.sites << " crash_points=" << result.crash_points
-            << " failures=" << result.failures.size() << "\n";
-  int index = 0;
-  for (const auto& failure : result.failures) {
-    std::cout << "\nFAIL plan:\n" << failure.plan.serialize() << "result:\n";
-    print_result(failure.result);
-    if (!artifacts_dir.empty()) {
-      MultiTortureOptions clean = options;
-      clean.scratch_dir.clear();
-      const fs::path dir =
-          fs::path(artifacts_dir) / ("multifault-" + std::to_string(index++));
-      write_multi_fault_artifact(dir, {clean, failure.plan, failure.result});
-      std::cout << "artifact: " << dir.string() << "\n";
-      std::cout << "reproduce: faultkit --multishot --artifact=" << dir.string()
-                << "\n";
-    }
-  }
-  return result.ok() ? 0 : 1;
-}
-
-int run_multi_replay(const MultiTortureOptions& options, int64_t site,
-                     const std::string& kind_name, uint64_t arg,
-                     const std::string& save_dir) {
-  const FaultKind kind = parse_fault_kind(kind_name);
-  RCOMMIT_CHECK_MSG(is_wal_kind(kind), "--replay takes a WAL fault kind");
-  const FaultPlan plan = FaultPlan::wal_fault_at(site, kind, arg);
-  const auto result = run_multi_crash_point(options, plan);
-  print_result(result);
-  if (!save_dir.empty()) {
-    MultiTortureOptions clean = options;
-    clean.scratch_dir.clear();
-    write_multi_fault_artifact(save_dir, {clean, plan, result});
-    std::cout << "artifact: " << save_dir << "\n";
-  }
-  return result.ok() ? 0 : 1;
-}
-
-int run_multi_artifact(const fs::path& dir, const fs::path& scratch) {
-  const MultiFaultArtifact artifact = load_multi_fault_artifact(dir);
-  MultiTortureOptions options = artifact.options;
-  options.scratch_dir = scratch;
-  const CrashPointResult result = run_multi_crash_point(options, artifact.plan);
-  if (result == artifact.expected) {
-    std::cout << "replay matches " << (dir / "report.txt").string() << "\n";
-    print_result(result);
-    return result.ok() ? 0 : 1;
-  }
-  std::cout << "REPLAY MISMATCH\nexpected:\n"
-            << artifact.expected.serialize() << "got:\n";
-  print_result(result);
-  return 1;
 }
 
 int run_artifact(const fs::path& dir, const fs::path& scratch) {
-  if (is_multishot_artifact(dir)) return run_multi_artifact(dir, scratch);
-  const FaultArtifact artifact = load_fault_artifact(dir);
-  TortureOptions options = artifact.options;
-  options.scratch_dir = scratch;
-  const CrashPointResult result = run_crash_point(options, artifact.plan);
+  FaultArtifact artifact;
+  CrashPointResult result;
+  try {
+    artifact = load_fault_artifact(dir);
+    // The engines check the loaded options' ranges (a shard count below 1,
+    // ...) as they start.
+    result = replay_fault_artifact(artifact, scratch);
+  } catch (const CheckFailure& failure) {
+    std::cerr << "faultkit: cannot replay " << dir.string() << ": "
+              << failure.what() << "\n";
+    return 2;
+  }
   if (result == artifact.expected) {
     std::cout << "replay matches " << (dir / "report.txt").string() << "\n";
     print_result(result);
@@ -261,18 +203,22 @@ int main(int argc, char** argv) {
   }
 
   int exit_code = 0;
-  if (enumerate) {
-    exit_code = multishot ? run_multi_enumerate(multi_options)
-                          : run_enumerate(options);
-  } else if (sweep) {
-    exit_code = multishot ? run_multi_sweep(multi_options, sweep_options, artifacts_dir)
-                          : run_sweep(options, sweep_options, artifacts_dir);
-  } else if (replay) {
-    exit_code = multishot ? run_multi_replay(multi_options, site, kind, arg, save_dir)
-                          : run_replay(options, site, kind, arg, save_dir);
-  } else {
-    // --artifact auto-detects the config schema; --multishot is implied.
+  if (!artifact.empty()) {
+    // --artifact detects the workload from config.txt; --multishot is moot.
     exit_code = run_artifact(artifact, options.scratch_dir);
+  } else {
+    const WorkloadOptions workload =
+        multishot ? WorkloadOptions(multi_options) : WorkloadOptions(options);
+    exit_code = std::visit(
+        [&](const auto& workload_options) {
+          if (enumerate) return run_enumerate(workload_options);
+          if (sweep) {
+            return run_sweep(workload_options, sweep_options, artifacts_dir,
+                             multishot ? "multifault-" : "fault-");
+          }
+          return run_replay(workload_options, site, kind, arg, save_dir);
+        },
+        workload);
   }
   std::filesystem::remove_all(options.scratch_dir);
   return exit_code;
