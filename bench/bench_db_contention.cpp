@@ -6,16 +6,17 @@
 // *every* involved shard. The experiment verifies that rising contention
 // changes only the commit/abort mix — never atomicity.
 //
-// Transactions here execute sequentially, so conflicts arise from in-doubt
-// leftovers... they do not: sequential execution releases locks between
-// transactions. To create conflicts we deliberately leave a fraction of
-// "blocker" transactions prepared-but-undecided (exactly the in-doubt state
-// crashes produce), which is both realistic and deterministic.
+// Transactions here execute one at a time (MultiShotDb with one client and
+// decision_batch = 1), and sequential execution releases locks between
+// transactions, so conflicts cannot arise between them. To create conflicts
+// we deliberately leave "blocker" transactions prepared-but-undecided
+// (exactly the in-doubt state crashes produce), which is both realistic and
+// deterministic.
 #include <filesystem>
 
 #include "bench/harness.h"
 #include "common/stats.h"
-#include "db/txn.h"
+#include "db/multishot.h"
 #include "db/workload.h"
 #include "metrics/report.h"
 
@@ -37,13 +38,14 @@ ContentionStats run_skew(double skew, int txns, uint64_t seed) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  db::DistributedDb::Options options;
+  db::MultiShotDb::Options options;
   options.shard_count = 4;
   options.data_dir = dir;
   options.seed = seed;
+  options.decision_transport = db::DecisionTransport::kThreadedNetwork;
   options.network = {.min_delay = std::chrono::microseconds(20),
                      .max_delay = std::chrono::microseconds(150)};
-  db::DistributedDb database(options);
+  db::MultiShotDb database(options);
 
   db::WorkloadOptions wopts;
   wopts.shard_count = 4;
@@ -54,16 +56,18 @@ ContentionStats run_skew(double skew, int txns, uint64_t seed) {
   db::WorkloadGenerator workload(wopts, seed + 17);
 
   // Plant blockers: prepared-but-undecided transactions pinning hot keys on
-  // each shard (the state a crashed coordinator leaves behind).
+  // each shard (the state a crashed coordinator leaves behind). Their origin
+  // field sits past every real shard, so their ids cannot collide with an
+  // engine-allocated one.
   for (int32_t s = 0; s < 4; ++s) {
-    (void)database.shard(s).prepare(
-        900'000 + s, {{"key:0", "blocked"}, {"key:1", "blocked"}});
+    (void)database.shard(s).prepare(db::make_txn_id(options.shard_count, s),
+                                    {{"key:0", "blocked"}, {"key:1", "blocked"}});
   }
 
   ContentionStats stats;
   for (int i = 0; i < txns; ++i) {
     const auto txn = workload.next();
-    const auto outcome = database.execute(txn);
+    const auto outcome = database.execute(txn.begin()->first, txn);
     if (!outcome.decided) continue;
     (outcome.decision == Decision::kCommit ? stats.committed : stats.aborted) += 1;
     // Atomicity check, immediately after the sequential execute: every write

@@ -59,9 +59,12 @@ void body(bench::Context& ctx) {
   fs::remove_all(root);
 
   // --- recovery equivalence: the exhaustive crash-point sweep -------------
-  faultinject::TortureOptions options;
+  // One transaction at a time: each prepares, decides and applies before
+  // the next one begins.
+  faultinject::MultiTortureOptions options;
   options.seed = ctx.derive_seed(15);
-  options.txns = ctx.quick() ? 3 : 4;
+  options.batches = ctx.quick() ? 3 : 4;
+  options.batch_size = 1;
   options.scratch_dir = root / "sweep";
   const auto sweep =
       faultinject::run_wal_sweep(options, {.threads = ctx.quick() ? 2 : 4});

@@ -5,7 +5,8 @@
 // balance after a burst of transfers (with a deliberately conflicting
 // workload so some transactions abort) and checks conservation — which holds
 // exactly because the commit protocol never installs a debit without its
-// matching credit.
+// matching credit. The database is db::MultiShotDb driven by one client, one
+// transaction at a time.
 //
 //   $ bank_transfer [transfers] [seed]
 #include <filesystem>
@@ -14,11 +15,11 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "db/txn.h"
+#include "db/multishot.h"
 
 namespace {
 
-int64_t balance(rcommit::db::DistributedDb& database, int shard,
+int64_t balance(const rcommit::db::MultiShotDb& database, int shard,
                 const std::string& account) {
   const auto value = database.get(shard, account);
   return value ? std::stoll(*value) : 0;
@@ -37,21 +38,23 @@ int main(int argc, char** argv) {
       fs::temp_directory_path() / ("rcommit_example_bank_" + std::to_string(::getpid()));
   fs::create_directories(dir);
 
-  db::DistributedDb::Options options;
+  db::MultiShotDb::Options options;
   options.shard_count = 2;
   options.data_dir = dir;
   options.seed = seed;
+  options.decision_transport = db::DecisionTransport::kThreadedNetwork;
   options.network = {.min_delay = std::chrono::microseconds(50),
                      .max_delay = std::chrono::microseconds(400)};
-  db::DistributedDb database(options);
+  db::MultiShotDb database(options);
 
   // Four accounts, two per shard, 1000 units each => total 4000.
   const std::vector<std::pair<int, std::string>> accounts = {
       {0, "alice"}, {0, "bob"}, {1, "carol"}, {1, "dave"}};
   std::vector<int64_t> balances(accounts.size(), 1000);
   for (size_t i = 0; i < accounts.size(); ++i) {
+    const int shard = accounts[i].first;
     const auto outcome = database.execute(
-        {{accounts[i].first, {{accounts[i].second, std::to_string(balances[i])}}}});
+        shard, {{shard, {{accounts[i].second, std::to_string(balances[i])}}}});
     if (outcome.decision != Decision::kCommit) {
       std::cout << "setup failed\n";
       return 1;
@@ -76,12 +79,12 @@ int main(int argc, char** argv) {
     // Group writes per shard: when both accounts live on the same shard the
     // two writes belong to one entry. (A brace-initialized map with a
     // duplicate key would silently drop the second write — don't.)
-    std::map<int32_t, std::vector<db::KvWrite>> writes;
+    db::GeneratedTxn writes;
     writes[accounts[from].first].push_back(
         {accounts[from].second, std::to_string(new_from)});
     writes[accounts[to].first].push_back(
         {accounts[to].second, std::to_string(new_to)});
-    const auto outcome = database.execute(writes);
+    const auto outcome = database.execute(accounts[from].first, writes);
     if (outcome.decision == Decision::kCommit) {
       balances[from] = new_from;
       balances[to] = new_to;

@@ -5,7 +5,8 @@
 // none. This example runs a 4-shard KV database whose cross-shard
 // transactions are decided by the paper's randomized commit protocol running
 // over a threaded in-memory network with injected delays — then verifies
-// atomicity by reading every shard back.
+// atomicity by reading every shard back. The database is db::MultiShotDb
+// driven by one client, one transaction at a time.
 //
 //   $ distributed_kv [txn_count] [seed]
 #include <filesystem>
@@ -13,7 +14,7 @@
 #include <map>
 #include <string>
 
-#include "db/txn.h"
+#include "db/multishot.h"
 
 int main(int argc, char** argv) {
   using namespace rcommit;
@@ -26,14 +27,14 @@ int main(int argc, char** argv) {
       fs::temp_directory_path() / ("rcommit_example_kv_" + std::to_string(::getpid()));
   fs::create_directories(dir);
 
-  db::DistributedDb::Options options;
+  db::MultiShotDb::Options options;
   options.shard_count = 4;
   options.data_dir = dir;
-  options.backend = db::CommitBackend::kPaperProtocol;
   options.seed = seed;
+  options.decision_transport = db::DecisionTransport::kThreadedNetwork;
   options.network = {.min_delay = std::chrono::microseconds(50),
                      .max_delay = std::chrono::microseconds(600)};
-  db::DistributedDb database(options);
+  db::MultiShotDb database(options);
 
   std::cout << "4-shard KV store; cross-shard transactions decided by the "
                "randomized commit protocol\n\n";
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
     const int user_shard = i % 4;
     const int index_shard = (i + 1) % 4;
     const std::string user_key = "user:" + std::to_string(i);
-    const auto outcome = database.execute({
+    const auto outcome = database.execute(user_shard, {
         {user_shard, {{user_key, "name-" + std::to_string(i)}}},
         {index_shard, {{"idx:" + std::to_string(i), user_key}}},
     });

@@ -145,15 +145,8 @@ std::vector<std::optional<Decision>> MultiShotDb::run_threaded_round(int32_t n,
     ++active_rounds_;
   }
   transport::InMemoryNetwork network(n, seed, options_.network);
-  // Nodes wake early on message arrival, so a coarser step period than
-  // run_fleet's default costs no happy-path latency — it only cuts idle-step
-  // CPU, which bounds aggregate throughput when many rounds share few cores.
-  // The decided-poll runs at half that step: the default 2 ms poll would put
-  // a floor under every instance's latency.
-  const transport::FleetResult result = transport::run_fleet(
-      make_commit_fleet(n), network, seed ^ 0xf1ee7, kRoundTimeout,
-      {.step_period = std::chrono::microseconds(500),
-       .poll_period = std::chrono::microseconds(250)});
+  const transport::FleetResult result =
+      transport::run_fleet(make_commit_fleet(n), network, seed ^ 0xf1ee7, kRoundTimeout);
   {
     MutexLock lock(rounds_mu_);
     --active_rounds_;

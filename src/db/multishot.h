@@ -1,10 +1,11 @@
-// Multi-shot sharded transaction engine.
+// Multi-shot sharded transaction engine — the repository's transaction
+// engine.
 //
-// The single-shot `DistributedDb` commits one transaction at a time: execute
-// blocks the whole database until the commit instance decides. This layer —
-// in the style of Chockler & Gotsman's *Multi-Shot Distributed Transaction
-// Commit* (PAPERS.md) — lets millions of transactions be in flight across
-// partitioned shards without head-of-line blocking:
+// In the style of Chockler & Gotsman's *Multi-Shot Distributed Transaction
+// Commit* (PAPERS.md), it lets many transactions be in flight across
+// partitioned shards without head-of-line blocking; single-shot commit is the
+// special case of one client and decision_batch = 1, where each execute()
+// prepares, decides and applies one transaction before the next begins:
 //
 //   * Transaction ids span a 64-bit space: the originating shard in the top
 //     bits, a shard-local sequence in the bottom 48. Ids are unique across
@@ -32,11 +33,10 @@
 //                     workload), which is what the multi-txn crash-point
 //                     torture sweep replays from.
 //   kThreadedNetwork  each round runs over a fresh threaded in-memory network
-//                     with real delays (transport::run_fleet, as in
-//                     DistributedDb, paced finer) under an admission gate of
-//                     kMaxConcurrentRounds — the configuration
-//                     bench_db_multishot (E19) measures, where pipelining is
-//                     the entire throughput win.
+//                     with real delays (transport::run_fleet) under an
+//                     admission gate of kMaxConcurrentRounds — the
+//                     configuration bench_db_multishot (E19) measures, where
+//                     pipelining is the entire throughput win.
 //
 // All three callers — the unbatched execute(), the threaded batched-decide
 // leader, and execute_pipelined's Phase B — decide through one path,

@@ -74,7 +74,7 @@ class RecoveryManager {
   struct Options {
     uint64_t seed = 1;
     /// Participant id of each entry in `shards`, parallel to that vector.
-    /// Empty means identity (shard i has id i) — correct for DistributedDb.
+    /// Empty means identity (shard i has id i) — correct for MultiShotDb.
     /// RPC deployments whose shard node ids differ from vector positions
     /// must supply the mapping so recorded participant lists resolve.
     std::vector<int32_t> shard_ids = {};

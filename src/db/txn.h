@@ -1,33 +1,30 @@
-// Distributed transactions over sharded KV stores.
+// The decision round of a distributed transaction.
 //
 // The paper's motivating setting made concrete: a transaction touches several
 // shards; each shard stages and durably prepares its writes (its vote), and
-// the shards then reach a common commit/abort decision by running a commit
-// protocol over the threaded transport — the paper's Protocol 2 by default,
-// or a 2PC/3PC baseline for comparison. The outcome is applied to every
-// involved shard.
+// the shards then reach a common commit/abort decision by running the
+// paper's Protocol 2 among themselves. This header holds what every caller of
+// that round shares — the outcome type, the round constants, the seed mix and
+// the fleet builders. The engine that prepares, decides and applies is
+// db::MultiShotDb (db/multishot.h); a one-transaction-at-a-time database is
+// MultiShotDb with one client and decision_batch = 1.
 #pragma once
 
-#include <chrono>
-#include <filesystem>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/types.h"
-#include "db/kv.h"
-#include "protocol/commit.h"
-#include "transport/network.h"
+#include "sim/process.h"
 
 namespace rcommit::db {
 
-/// Which protocol decides the fate of a transaction.
+/// Which protocol decides the fate of a transaction. Protocol 2 is the only
+/// one RecoveryManager can rerun for an in-doubt transaction, so it is the
+/// only backend; how 2PC/3PC behave under faults is measured on the
+/// simulator (E7, E18).
 enum class CommitBackend {
   kPaperProtocol,  ///< Protocol 2 (Coan & Lundelius)
-  kTwoPc,          ///< two-phase commit (presume-abort timeout policy)
-  kThreePc,        ///< three-phase commit
-  kQ3pc,           ///< 3PC with the termination (recovery) protocol
 };
 
 struct TxnOutcome {
@@ -41,9 +38,8 @@ inline constexpr Tick kCommitK = 25;
 /// Event budget of one simulated decision round.
 inline constexpr int64_t kRoundMaxEvents = 200'000;
 
-/// Builds one commit-protocol participant with the given initial vote.
-/// Shared by DistributedDb's per-transaction fleets and MultiShotDb's
-/// pipelined commit instances; baselines derive their timeout as 8K.
+/// Builds one Protocol 2 participant with the given initial vote. Protocol 2
+/// reads K from `params`; `k` (kCommitK for every engine round) is unused.
 std::unique_ptr<sim::Process> make_commit_participant(CommitBackend backend,
                                                       const SystemParams& params,
                                                       int vote, Tick k);
@@ -65,47 +61,5 @@ std::vector<std::unique_ptr<sim::Process>> make_commit_fleet(int32_t n);
 /// rerun alike, so a crashed instance recovers to its live decision. Returns
 /// each participant's decision; nullopt = undecided within kRoundMaxEvents.
 std::vector<std::optional<Decision>> run_simulated_round(int32_t n, uint64_t seed);
-
-class DistributedDb {
- public:
-  struct Options {
-    int32_t shard_count = 3;
-    std::filesystem::path data_dir;  ///< one WAL per shard lives here
-    CommitBackend backend = CommitBackend::kPaperProtocol;
-    uint64_t seed = 1;
-    transport::LinkPolicy network = {};  ///< delay/drop injection
-    std::chrono::milliseconds txn_timeout{2000};
-    /// Optional WAL fault hook, installed on every shard's log (non-owning).
-    /// The crash-point torture suite (src/faultinject) uses this to kill the
-    /// database at a chosen append; production paths leave it null.
-    WalFaultHook* wal_fault_hook = nullptr;
-  };
-
-  explicit DistributedDb(Options options);
-
-  /// Executes one distributed transaction: writes grouped per shard. Every
-  /// involved shard prepares (vote), the commit protocol runs over a fresh
-  /// in-memory network among the involved shards, and the outcome is applied
-  /// everywhere. Single-shard transactions commit locally iff they prepare.
-  TxnOutcome execute(const std::map<int32_t, std::vector<KvWrite>>& writes_by_shard);
-
-  /// Reads from one shard.
-  [[nodiscard]] std::optional<std::string> get(int32_t shard, const std::string& key) const;
-
-  [[nodiscard]] KvStore& shard(int32_t index);
-  [[nodiscard]] int32_t shard_count() const { return options_.shard_count; }
-
-  /// Transactions executed so far (also the id generator).
-  [[nodiscard]] TxnId transactions_started() const { return next_txn_ - 1; }
-
- private:
-  /// Builds one commit-protocol participant with the given initial vote.
-  std::unique_ptr<sim::Process> make_participant(int32_t index, int32_t n, int vote) const;
-
-  Options options_;
-  std::vector<std::unique_ptr<KvStore>> shards_;
-  TxnId next_txn_ = 1;
-  uint64_t txn_seed_ = 0;
-};
 
 }  // namespace rcommit::db

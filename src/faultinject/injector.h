@@ -7,10 +7,9 @@
 // which doubles as the site enumerator: run the workload once under
 // FaultPlan::none() and sites_seen() is the reachable-site count.
 //
-// Deterministic single-threaded core: the torture harness's two workload
-// drivers (serial DistributedDb, pipelined MultiShotDb on the simulator)
-// append from one thread. Threaded RPC
-// deployments inject at the network layer (netfault.h) instead.
+// Deterministic single-threaded core: the torture harness's workload driver
+// (MultiShotDb::execute_pipelined on the simulator) appends from one thread.
+// Threaded RPC deployments inject at the network layer (netfault.h) instead.
 #pragma once
 
 #include <cstdint>

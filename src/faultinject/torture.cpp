@@ -11,7 +11,6 @@
 #include "common/codec.h"
 #include "common/rng.h"
 #include "db/multishot.h"
-#include "db/txn.h"
 #include "db/workload.h"
 #include "swarm/pool.h"
 
@@ -25,18 +24,6 @@ namespace {
 
 /// Calls `field(key, member)` for every line of the text form, in file order.
 /// serialize and deserialize both walk these lists, so they cannot drift.
-template <typename F>
-void fields(TortureOptions& o, F&& field) {
-  field("shard_count", o.shard_count);
-  field("txns", o.txns);
-  field("fanout", o.fanout);
-  field("keys_per_shard", o.keys_per_shard);
-  field("seed", o.seed);
-  field("min_delay_us", o.min_delay);
-  field("max_delay_us", o.max_delay);
-  field("txn_timeout_ms", o.txn_timeout);
-}
-
 template <typename F>
 void fields(MultiTortureOptions& o, F&& field) {
   field("shard_count", o.shard_count);
@@ -71,8 +58,6 @@ std::string write_fields(T object) {
     using V = std::decay_t<decltype(member)>;
     if constexpr (std::is_same_v<V, std::vector<std::string>>) {
       for (const auto& item : member) out << key << '=' << item << '\n';
-    } else if constexpr (requires { member.count(); }) {
-      out << key << '=' << member.count() << '\n';
     } else {
       out << key << '=' << member << '\n';  // a bool prints as 0 or 1
     }
@@ -91,10 +76,6 @@ T read_fields(const std::string& text, const char* what) {
       using V = std::decay_t<decltype(member)>;
       if constexpr (std::is_same_v<V, std::vector<std::string>>) {
         member.emplace_back(value);
-      } else if constexpr (requires { member.count(); }) {
-        typename V::rep count{};
-        parse_value(key, value, count);
-        member = V(count);
       } else {
         parse_value(key, value, member);
       }
@@ -104,7 +85,7 @@ T read_fields(const std::string& text, const char* what) {
   return object;
 }
 
-// --- the workload drivers ----------------------------------------------------
+// --- the workload driver -----------------------------------------------------
 
 /// What the driver observed for one transaction before the crash.
 enum class Observed {
@@ -124,7 +105,7 @@ struct TxnRef {
   Observed observed = Observed::kInDoubt;
 };
 
-/// What a driver leaves behind: the reference model, and the crash if the
+/// What the driver leaves behind: the reference model, and the crash if the
 /// plan fired one.
 struct WorkloadRun {
   std::map<db::TxnId, TxnRef> reference;
@@ -135,53 +116,7 @@ struct WorkloadRun {
   std::vector<SiteInfo> sites;  ///< the WAL sites reached, in order
 };
 
-db::WorkloadGenerator make_generator(const auto& options) {
-  return db::WorkloadGenerator({.shard_count = options.shard_count,
-                                .keys_per_shard = options.keys_per_shard,
-                                .fanout = options.fanout,
-                                .writes_per_shard = 1,
-                                .skew = 0.0},
-                               options.seed);
-}
-
-/// The serial workload against a fresh DistributedDb in the scratch dir.
-WorkloadRun drive(const TortureOptions& options, FaultInjector& injector) {
-  // Past every id the workload allocates (from 1).
-  constexpr db::TxnId kHotTxn = 1'000'000;
-  WorkloadRun run;
-  db::DistributedDb::Options dopts;
-  dopts.shard_count = options.shard_count;
-  dopts.data_dir = options.scratch_dir;
-  dopts.seed = options.seed;
-  dopts.network = {.min_delay = options.min_delay, .max_delay = options.max_delay};
-  dopts.txn_timeout = options.txn_timeout;
-  dopts.wal_fault_hook = &injector;
-  try {
-    db::DistributedDb database(dopts);
-    // A transaction prepared on shard 0 and held in doubt for the whole run.
-    run.reference[kHotTxn].writes = {{0, {{"hot", "held"}}}};
-    RCOMMIT_CHECK(database.shard(0).prepare(kHotTxn, {{"hot", "held"}}, {0}));
-    db::WorkloadGenerator generator = make_generator(options);
-    for (int32_t i = 0; i < options.txns; ++i) {
-      db::GeneratedTxn writes = generator.next();
-      // Every third transaction contends on the held hot key.
-      if (i % 3 == 1) writes[0] = {{"hot", "steal-" + std::to_string(i)}};
-      const db::TxnId id = database.transactions_started() + 1;
-      run.reference[id].writes = writes;  // in flight until execute returns
-      run.execution_order.push_back(id);
-      run.reference[id].observed = observe(database.execute(writes));
-    }
-  } catch (const db::CrashInjected& crash) {
-    run.crashed = true;
-    run.crash_site = crash.site();
-  }
-  // The hot transaction resolves last (largest id, and recovery works in
-  // ascending id order); every write competing for its key aborts.
-  run.execution_order.push_back(kHotTxn);
-  return run;
-}
-
-/// The pipelined workload against a fresh MultiShotDb in the scratch dir.
+/// The workload against a fresh MultiShotDb in the scratch dir.
 WorkloadRun drive(const MultiTortureOptions& options, FaultInjector& injector) {
   // Its origin field sits past every real shard, so it can never collide
   // with an engine-allocated id.
@@ -200,7 +135,12 @@ WorkloadRun drive(const MultiTortureOptions& options, FaultInjector& injector) {
     // A transaction prepared on shard 0 and held in doubt for the whole run.
     run.reference[hot_txn].writes = {{0, {{"hot", "held"}}}};
     RCOMMIT_CHECK(database.shard(0).prepare(hot_txn, {{"hot", "held"}}, {0}));
-    db::WorkloadGenerator generator = make_generator(options);
+    db::WorkloadGenerator generator({.shard_count = options.shard_count,
+                                     .keys_per_shard = options.keys_per_shard,
+                                     .fanout = options.fanout,
+                                     .writes_per_shard = 1,
+                                     .skew = 0.0},
+                                    options.seed);
     // Mirror the engine's id allocation (per-origin sequences from 1) so the
     // reference knows each instance's id before the batch runs — instances
     // past a mid-batch crash simply never appear in any WAL.
@@ -211,7 +151,8 @@ WorkloadRun drive(const MultiTortureOptions& options, FaultInjector& injector) {
       std::vector<db::TxnId> ids;
       for (int32_t i = 0; i < options.batch_size; ++i) {
         db::GeneratedTxn writes = generator.next();
-        // Every third instance contends on the held hot key.
+        // Every third instance of a batch contends on the held hot key (so
+        // at batch_size 1 none does).
         if (i % 3 == 1) {
           writes[0] = {{"hot", "steal-" + std::to_string(b) + "-" +
                                    std::to_string(i)}};
@@ -232,7 +173,9 @@ WorkloadRun drive(const MultiTortureOptions& options, FaultInjector& injector) {
     run.crashed = true;
     run.crash_site = crash.site();
   }
-  // As in the serial workload: the hot instance resolves last.
+  // The hot instance resolves last (recovery works in ascending id order and
+  // its origin field is the largest); every write competing for its key
+  // aborts.
   run.execution_order.push_back(hot_txn);
   return run;
 }
@@ -263,8 +206,7 @@ struct Recovery {
 /// `hook` (may be null) is installed on the reopened stores, so resolve_all
 /// may crash at an outcome-group flush. Each store's survey is checked
 /// against its log on disk after the reopen and after resolve_all.
-template <typename Options>
-Recovery recover(const Options& options, db::WalFaultHook* hook,
+Recovery recover(const MultiTortureOptions& options, db::WalFaultHook* hook,
                  std::vector<std::string>& errors) {
   Recovery recovery;
   std::vector<db::KvStore*> ptrs;
@@ -346,10 +288,10 @@ std::map<db::TxnId, bool> check_recovery(const WorkloadRun& run,
   }
 
   // Reference state: committed transactions' writes, applied in execution
-  // order. Transactions that commit overlapping keys never race (the serial
-  // engine runs one at a time; within a pipelined batch the no-wait lock
-  // table forces the later prepare to vote abort), so recovery's ascending-id
-  // resolution of the leftovers agrees with this order.
+  // order. Transactions that commit overlapping keys never race (within a
+  // batch the no-wait lock table forces the later prepare to vote abort, and
+  // batches run one after another), so recovery's ascending-id resolution of
+  // the leftovers agrees with this order.
   std::vector<std::map<std::string, std::string>> expected(
       static_cast<size_t>(shard_count));
   for (const db::TxnId txn : run.execution_order) {
@@ -387,8 +329,7 @@ std::map<db::TxnId, bool> check_recovery(const WorkloadRun& run,
 }
 
 /// The workload under `plan`, with its WALs in a fresh scratch directory.
-template <typename Options>
-WorkloadRun run_workload(const Options& options, const FaultPlan& plan) {
+WorkloadRun run_workload(const MultiTortureOptions& options, const FaultPlan& plan) {
   RCOMMIT_CHECK_MSG(!options.scratch_dir.empty(), "scratch_dir is required");
   fs::remove_all(options.scratch_dir);
   fs::create_directories(options.scratch_dir);
@@ -409,8 +350,7 @@ struct Point {
   db::RecoveryReport first_report;      ///< the hooked recovery's, if it finished
 };
 
-template <typename Options>
-Point check_point(const Options& options, const WorkloadRun& run,
+Point check_point(const MultiTortureOptions& options, const WorkloadRun& run,
                   const FaultPlan* recovery_plan) {
   Point point;
   CrashPointResult& result = point.result;
@@ -438,21 +378,9 @@ Point check_point(const Options& options, const WorkloadRun& run,
   return point;
 }
 
-template <typename Options>
-CrashPointResult crash_point(const Options& options, const FaultPlan& plan) {
-  return check_point(options, run_workload(options, plan), nullptr).result;
-}
-
-template <typename Options>
-std::vector<SiteInfo> sites_of(const Options& options) {
-  WorkloadRun run = run_workload(options, FaultPlan::none());
-  RCOMMIT_CHECK_MSG(!run.crashed, "empty plan must not crash");
-  return std::move(run.sites);
-}
-
-template <typename Options>
-Options in_subdir(const Options& options, const std::string& name) {
-  Options sub = options;
+MultiTortureOptions in_subdir(const MultiTortureOptions& options,
+                              const std::string& name) {
+  MultiTortureOptions sub = options;
   sub.scratch_dir = options.scratch_dir / name;
   return sub;
 }
@@ -462,8 +390,8 @@ Options in_subdir(const Options& options, const std::string& name) {
 /// Runs `run_point` at every (site × kind) below `sites`, on the pool when
 /// asked, folding the results in enumeration order (thread-count
 /// independent). Each point gets its own scratch directory.
-template <typename Options, typename RunPoint>
-SweepResult sweep_sites(const Options& options, int64_t sites,
+template <typename RunPoint>
+SweepResult sweep_sites(const MultiTortureOptions& options, int64_t sites,
                         const SweepOptions& sweep, const RunPoint& run_point) {
   SweepResult out;
   out.sites = sites;
@@ -486,8 +414,8 @@ SweepResult sweep_sites(const Options& options, int64_t sites,
     // replayable from those two numbers alone.
     SplitMix64 mix(options.seed ^
                    (static_cast<uint64_t>(job.site) * 0x9e3779b97f4a7c15ULL));
-    const Options point = in_subdir(options, "site" + std::to_string(job.site) +
-                                                 "-" + to_string(job.kind));
+    const MultiTortureOptions point = in_subdir(
+        options, "site" + std::to_string(job.site) + "-" + to_string(job.kind));
     plans[static_cast<size_t>(j)] =
         FaultPlan::wal_fault_at(job.site, job.kind, mix.next());
     results[static_cast<size_t>(j)] = run_point(point, plans[static_cast<size_t>(j)]);
@@ -507,29 +435,50 @@ SweepResult sweep_sites(const Options& options, int64_t sites,
   return out;
 }
 
-template <typename Options>
-SweepResult wal_sweep(const Options& options, const SweepOptions& sweep) {
-  const Options probe = in_subdir(options, "enumerate");
-  const auto sites = static_cast<int64_t>(sites_of(probe).size());
-  fs::remove_all(probe.scratch_dir);
-  return sweep_sites(options, sites, sweep, crash_point<Options>);
+}  // namespace
+
+std::string MultiTortureOptions::serialize() const { return write_fields(*this); }
+MultiTortureOptions MultiTortureOptions::deserialize(const std::string& text) {
+  return read_fields<MultiTortureOptions>(text, "config");
+}
+std::string CrashPointResult::serialize() const { return write_fields(*this); }
+CrashPointResult CrashPointResult::deserialize(const std::string& text) {
+  return read_fields<CrashPointResult>(text, "report");
 }
 
-template <typename Options>
-SweepResult recovery_sweep(const Options& options, const FaultPlan& workload_plan,
-                           const SweepOptions& sweep) {
+CrashPointResult run_crash_point(const MultiTortureOptions& options,
+                                 const FaultPlan& plan) {
+  return check_point(options, run_workload(options, plan), nullptr).result;
+}
+
+std::vector<SiteInfo> enumerate_sites(const MultiTortureOptions& options) {
+  WorkloadRun run = run_workload(options, FaultPlan::none());
+  RCOMMIT_CHECK_MSG(!run.crashed, "empty plan must not crash");
+  return std::move(run.sites);
+}
+
+SweepResult run_wal_sweep(const MultiTortureOptions& options, const SweepOptions& sweep) {
+  const MultiTortureOptions probe = in_subdir(options, "enumerate");
+  const auto sites = static_cast<int64_t>(enumerate_sites(probe).size());
+  fs::remove_all(probe.scratch_dir);
+  return sweep_sites(options, sites, sweep, run_crash_point);
+}
+
+SweepResult run_recovery_sweep(const MultiTortureOptions& options,
+                               const FaultPlan& workload_plan,
+                               const SweepOptions& sweep) {
   // The workload crashes once; every recovery point starts from a copy of
   // the WALs it left, so the points differ only in how recovery crashed.
-  const Options crashed = in_subdir(options, "workload");
+  const MultiTortureOptions crashed = in_subdir(options, "workload");
   const WorkloadRun run = run_workload(crashed, workload_plan);
-  const auto recover_copy = [&](const Options& point, const FaultPlan& plan) {
+  const auto recover_copy = [&](const MultiTortureOptions& point, const FaultPlan& plan) {
     fs::remove_all(point.scratch_dir);
     fs::copy(crashed.scratch_dir, point.scratch_dir, fs::copy_options::recursive);
     return check_point(point, run, &plan);
   };
   // The no-crash recovery, with an empty-plan injector on the reopened
   // stores: it counts the outcome-group sites and is the baseline.
-  const Options probe = in_subdir(options, "baseline");
+  const MultiTortureOptions probe = in_subdir(options, "baseline");
   const Point baseline = recover_copy(probe, FaultPlan::none());
   fs::remove_all(probe.scratch_dir);
   RCOMMIT_CHECK_MSG(!baseline.result.crashed, "empty recovery plan must not crash");
@@ -539,7 +488,7 @@ SweepResult recovery_sweep(const Options& options, const FaultPlan& workload_pla
 
   SweepResult out = sweep_sites(
       options, baseline.result.sites_seen, sweep,
-      [&](const Options& point_options, const FaultPlan& plan) {
+      [&](const MultiTortureOptions& point_options, const FaultPlan& plan) {
         Point point = recover_copy(point_options, plan);
         auto& errors = point.result.errors;
         if (point.committed != baseline.committed) {
@@ -564,9 +513,8 @@ SweepResult recovery_sweep(const Options& options, const FaultPlan& workload_pla
   return out;
 }
 
-template <typename Options>
-FaultPlan shrink_plan(const Options& options, const FaultPlan& plan,
-                      const swarm::ShrinkOptions& shrink, int* evals) {
+FaultPlan shrink_fault_plan(const MultiTortureOptions& options, const FaultPlan& plan,
+                            const swarm::ShrinkOptions& shrink, int* evals) {
   const auto all = plan.all_actions();
   const auto subset = [&](const std::vector<size_t>& keep) {
     std::vector<FaultAction> actions;
@@ -574,72 +522,13 @@ FaultPlan shrink_plan(const Options& options, const FaultPlan& plan,
     for (const size_t index : keep) actions.push_back(all[index]);
     return plan.with_actions(actions);
   };
-  const Options point = in_subdir(options, "shrink");
+  const MultiTortureOptions point = in_subdir(options, "shrink");
   const auto violates = [&](const std::vector<size_t>& keep) {
-    return !crash_point(point, subset(keep)).ok();
+    return !run_crash_point(point, subset(keep)).ok();
   };
   const auto kept = swarm::ddmin_keep(all.size(), violates, shrink, evals);
   fs::remove_all(point.scratch_dir);
   return subset(kept);
-}
-
-}  // namespace
-
-std::string TortureOptions::serialize() const { return write_fields(*this); }
-TortureOptions TortureOptions::deserialize(const std::string& text) {
-  return read_fields<TortureOptions>(text, "config");
-}
-std::string MultiTortureOptions::serialize() const { return write_fields(*this); }
-MultiTortureOptions MultiTortureOptions::deserialize(const std::string& text) {
-  return read_fields<MultiTortureOptions>(text, "config");
-}
-std::string CrashPointResult::serialize() const { return write_fields(*this); }
-CrashPointResult CrashPointResult::deserialize(const std::string& text) {
-  return read_fields<CrashPointResult>(text, "report");
-}
-
-CrashPointResult run_crash_point(const TortureOptions& options,
-                                 const FaultPlan& plan) {
-  return crash_point(options, plan);
-}
-CrashPointResult run_crash_point(const MultiTortureOptions& options,
-                                 const FaultPlan& plan) {
-  return crash_point(options, plan);
-}
-
-std::vector<SiteInfo> enumerate_sites(const TortureOptions& options) {
-  return sites_of(options);
-}
-std::vector<SiteInfo> enumerate_sites(const MultiTortureOptions& options) {
-  return sites_of(options);
-}
-
-SweepResult run_wal_sweep(const TortureOptions& options, const SweepOptions& sweep) {
-  return wal_sweep(options, sweep);
-}
-SweepResult run_wal_sweep(const MultiTortureOptions& options,
-                          const SweepOptions& sweep) {
-  return wal_sweep(options, sweep);
-}
-
-SweepResult run_recovery_sweep(const TortureOptions& options,
-                               const FaultPlan& workload_plan,
-                               const SweepOptions& sweep) {
-  return recovery_sweep(options, workload_plan, sweep);
-}
-SweepResult run_recovery_sweep(const MultiTortureOptions& options,
-                               const FaultPlan& workload_plan,
-                               const SweepOptions& sweep) {
-  return recovery_sweep(options, workload_plan, sweep);
-}
-
-FaultPlan shrink_fault_plan(const TortureOptions& options, const FaultPlan& plan,
-                            const swarm::ShrinkOptions& shrink, int* evals) {
-  return shrink_plan(options, plan, shrink, evals);
-}
-FaultPlan shrink_fault_plan(const MultiTortureOptions& options, const FaultPlan& plan,
-                            const swarm::ShrinkOptions& shrink, int* evals) {
-  return shrink_plan(options, plan, shrink, evals);
 }
 
 void write_fault_artifact(const fs::path& dir, const FaultArtifact& artifact) {
@@ -649,18 +538,16 @@ void write_fault_artifact(const fs::path& dir, const FaultArtifact& artifact) {
     RCOMMIT_CHECK_MSG(out.is_open(), "cannot write " << (dir / name).string());
     out << contents;
   };
-  write_file("config.txt", std::visit([](const auto& options) { return options.serialize(); },
-                                      artifact.options));
+  write_file("config.txt", artifact.options.serialize());
   write_file("plan.txt", artifact.plan.serialize());
   write_file("report.txt", artifact.expected.serialize());
   write_file("README.txt",
              "Crash-point counterexample / regression entry.\n"
              "Reproduce with:\n\n  faultkit --artifact=" +
                  dir.string() +
-                 "\n\nconfig.txt is the workload (the pipelined one if it has a\n"
-                 "batches= line), plan.txt the fault schedule, report.txt the\n"
-                 "expected post-recovery CrashPointResult (replay must\n"
-                 "reproduce it field for field).\n");
+                 "\n\nconfig.txt is the workload, plan.txt the fault schedule,\n"
+                 "report.txt the expected post-recovery CrashPointResult\n"
+                 "(replay must reproduce it field for field).\n");
 }
 
 FaultArtifact load_fault_artifact(const fs::path& dir) {
@@ -671,17 +558,8 @@ FaultArtifact load_fault_artifact(const fs::path& dir) {
     buffer << in.rdbuf();
     return buffer.str();
   };
-  const std::string config = read_file("config.txt");
-  bool pipelined = false;
-  for_each_key_value(config, "config", [&](std::string_view key, std::string_view) {
-    pipelined |= key == "batches";
-  });
   FaultArtifact artifact;
-  if (pipelined) {
-    artifact.options = MultiTortureOptions::deserialize(config);
-  } else {
-    artifact.options = TortureOptions::deserialize(config);
-  }
+  artifact.options = MultiTortureOptions::deserialize(read_file("config.txt"));
   artifact.plan = FaultPlan::deserialize(read_file("plan.txt"));
   artifact.expected = CrashPointResult::deserialize(read_file("report.txt"));
   return artifact;
@@ -689,12 +567,9 @@ FaultArtifact load_fault_artifact(const fs::path& dir) {
 
 CrashPointResult replay_fault_artifact(const FaultArtifact& artifact,
                                        const fs::path& scratch_dir) {
-  return std::visit(
-      [&](auto options) {
-        options.scratch_dir = scratch_dir;
-        return run_crash_point(options, artifact.plan);
-      },
-      artifact.options);
+  MultiTortureOptions options = artifact.options;
+  options.scratch_dir = scratch_dir;
+  return run_crash_point(options, artifact.plan);
 }
 
 }  // namespace rcommit::faultinject

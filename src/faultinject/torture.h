@@ -1,18 +1,15 @@
 // Recovery-equivalence torture: crash a database workload at a chosen WAL
 // append, recover, and check the survivors against a reference state machine.
 //
-// Two workloads share everything after the crash. Each has its own options
-// type and its own driver, and every function below is overloaded on it:
+// The workload (MultiTortureOptions) drives db::MultiShotDb::execute_pipelined
+// on the deterministic simulator: each batch stages and prepares its
+// instances before any of them decides, so a crash anywhere in the pipeline
+// leaves many transactions in doubt per shard (optionally in group-commit WAL
+// mode with batched decision rounds). batch_size = 1 is the
+// one-transaction-at-a-time shape: each instance prepares, decides and
+// applies before the next one begins.
 //
-//   TortureOptions       the serial db::DistributedDb: one transaction in
-//                        flight at a time over the threaded commit fleet;
-//   MultiTortureOptions  db::MultiShotDb::execute_pipelined: each batch stages
-//                        and prepares many instances before any of them
-//                        decides, so a crash anywhere in the pipeline leaves
-//                        many transactions in doubt per shard (optionally in
-//                        group-commit WAL mode with batched decision rounds).
-//
-// Both hold a hot transaction prepared on shard 0 for the whole run, so
+// A hot transaction is held prepared on shard 0 for the whole run, so
 // workload transactions that touch its key vote abort and recovery always has
 // something in doubt. The reference is the committed prefix: a transaction's
 // writes belong in the final state iff it committed, where "committed" after
@@ -33,16 +30,12 @@
 //
 // A crash point is a pure function of (options, FaultPlan), so a sweep
 // failure is reproducible from (seed, site) alone, which the corpus replay
-// verifies. The serial workload keeps that only while its threaded fleet
-// delivers on time: under heavy CPU load its decisions can differ between
-// runs, which is why the recovery sweep crashes the workload just once.
+// verifies.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "db/recovery.h"
@@ -52,27 +45,7 @@
 
 namespace rcommit::faultinject {
 
-/// The serial workload: a hot prepare, then `txns` transactions executed one
-/// at a time.
-struct TortureOptions {
-  int32_t shard_count = 3;
-  int32_t txns = 4;           ///< workload transactions after the hot prepare
-  int32_t fanout = 2;         ///< shards per transaction
-  int32_t keys_per_shard = 4;
-  uint64_t seed = 1;
-  /// Scratch directory for the WALs; wiped and recreated per run.
-  std::filesystem::path scratch_dir;
-  /// Commit-fleet network timing (kept tight: the sweep runs many points).
-  std::chrono::microseconds min_delay{10};
-  std::chrono::microseconds max_delay{80};
-  std::chrono::milliseconds txn_timeout{5000};
-
-  /// Key=value form (scratch_dir excluded); round-trips via deserialize.
-  [[nodiscard]] std::string serialize() const;
-  static TortureOptions deserialize(const std::string& text);
-};
-
-/// The pipelined workload: a hot prepare, then `batches` pipelined batches of
+/// The workload: a hot prepare, then `batches` pipelined batches of
 /// `batch_size` instances. Decision rounds run on the deterministic simulator
 /// seeded by (seed, txn id) — the exact rerun RecoveryManager performs.
 struct MultiTortureOptions {
@@ -99,9 +72,6 @@ struct MultiTortureOptions {
   static MultiTortureOptions deserialize(const std::string& text);
 };
 
-/// Either workload; what an artifact's config.txt describes.
-using WorkloadOptions = std::variant<TortureOptions, MultiTortureOptions>;
-
 /// One crash point's verdict. `errors` empty means recovery was equivalent
 /// to the reference; every field participates in replay-identity checks.
 struct CrashPointResult {
@@ -121,15 +91,12 @@ struct CrashPointResult {
 };
 
 /// Runs workload + crash + recovery + equivalence check for one plan.
-[[nodiscard]] CrashPointResult run_crash_point(const TortureOptions& options,
-                                               const FaultPlan& plan);
 [[nodiscard]] CrashPointResult run_crash_point(const MultiTortureOptions& options,
                                                const FaultPlan& plan);
 
 /// Dry run under the empty plan: the reachable WAL injection sites across
-/// every shard's log, in append order (the drivers are single-threaded, so
+/// every shard's log, in append order (the driver is single-threaded, so
 /// the numbering is deterministic), with what each one turned out to be.
-[[nodiscard]] std::vector<SiteInfo> enumerate_sites(const TortureOptions& options);
 [[nodiscard]] std::vector<SiteInfo> enumerate_sites(const MultiTortureOptions& options);
 
 struct SweepOptions {
@@ -156,8 +123,6 @@ struct SweepResult {
 
 /// Exhaustive (site × kind) sweep. Deterministic regardless of threads:
 /// results are folded in enumeration order.
-[[nodiscard]] SweepResult run_wal_sweep(const TortureOptions& options,
-                                        const SweepOptions& sweep);
 [[nodiscard]] SweepResult run_wal_sweep(const MultiTortureOptions& options,
                                         const SweepOptions& sweep);
 
@@ -171,19 +136,12 @@ struct SweepResult {
 /// or rerunning more rounds than it (flushed outcomes become rule 1).
 /// `sites` in the result counts recovery sites; each failure's result
 /// carries the recovery's crash fields.
-[[nodiscard]] SweepResult run_recovery_sweep(const TortureOptions& options,
-                                             const FaultPlan& workload_plan,
-                                             const SweepOptions& sweep);
 [[nodiscard]] SweepResult run_recovery_sweep(const MultiTortureOptions& options,
                                              const FaultPlan& workload_plan,
                                              const SweepOptions& sweep);
 
 /// Shrinks a failing plan to a locally-minimal still-failing action subset
 /// via swarm::ddmin_keep (the fault-plan axis of the swarm's shrinker).
-[[nodiscard]] FaultPlan shrink_fault_plan(const TortureOptions& options,
-                                          const FaultPlan& plan,
-                                          const swarm::ShrinkOptions& shrink = {},
-                                          int* evals = nullptr);
 [[nodiscard]] FaultPlan shrink_fault_plan(const MultiTortureOptions& options,
                                           const FaultPlan& plan,
                                           const swarm::ShrinkOptions& shrink = {},
@@ -191,8 +149,7 @@ struct SweepResult {
 
 // --- artifacts ---------------------------------------------------------------
 //
-//   <dir>/config.txt   the workload's options (key=value); the pipelined
-//                      schema is the one with a `batches=` line
+//   <dir>/config.txt   the workload's options (key=value)
 //   <dir>/plan.txt     FaultPlan (the crash schedule; shrunk when from the
 //                      sweep's failure path)
 //   <dir>/report.txt   expected CrashPointResult (replay must match exactly)
@@ -200,10 +157,10 @@ struct SweepResult {
 //
 // Reproduce with:  faultkit --artifact=<dir>
 // The same format doubles as the regression corpora under tests/corpus_fault/
-// (serial) and tests/corpus_multishot/ (pipelined).
+// and tests/corpus_multishot/.
 
 struct FaultArtifact {
-  WorkloadOptions options;
+  MultiTortureOptions options;
   FaultPlan plan;
   CrashPointResult expected;
 };
@@ -213,9 +170,9 @@ struct FaultArtifact {
 void write_fault_artifact(const std::filesystem::path& dir,
                           const FaultArtifact& artifact);
 
-/// Loads an artifact directory, detecting the workload from config.txt.
-/// Throws CheckFailure on missing or malformed files. The loaded options
-/// carry an empty scratch_dir.
+/// Loads an artifact directory. Throws CheckFailure on missing or malformed
+/// files, an unknown config key included. The loaded options carry an empty
+/// scratch_dir.
 [[nodiscard]] FaultArtifact load_fault_artifact(const std::filesystem::path& dir);
 
 /// Re-runs the artifact's crash point with its WALs under `scratch_dir`.

@@ -75,21 +75,17 @@ class NodeHost {
 };
 
 /// Runs a fleet of processes over a network until every node decides (or the
-/// timeout expires); returns when all node threads have been joined.
-/// Convenience wrapper used by tests, examples, and the db substrate.
+/// timeout expires); returns when all node threads have been joined. This is
+/// MultiShotDb's threaded decision round; tests drive it directly. Nodes step
+/// every 500 us (an arriving message wakes one early) and the decided-poll
+/// runs every 250 us.
 struct FleetResult {
   bool all_decided = false;
   std::vector<std::optional<Decision>> decisions;
 };
 
-/// How run_fleet paces its nodes and its own wait for their decisions.
-struct FleetPacing {
-  std::chrono::microseconds step_period{200};  ///< every node's step period
-  std::chrono::microseconds poll_period{2000};  ///< between decided() checks
-};
-
 FleetResult run_fleet(std::vector<std::unique_ptr<sim::Process>> processes,
                       Network& network, uint64_t seed,
-                      std::chrono::milliseconds timeout, FleetPacing pacing = {});
+                      std::chrono::milliseconds timeout);
 
 }  // namespace rcommit::transport

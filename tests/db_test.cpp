@@ -15,7 +15,7 @@
 #include "common/rng.h"
 #include "db/kv.h"
 #include "db/locks.h"
-#include "db/txn.h"
+#include "db/multishot.h"
 #include "db/wal.h"
 
 namespace rcommit::db {
@@ -934,18 +934,30 @@ TEST(Kv, RandomHistoryMatchesReferenceModel) {
 }
 
 // --- distributed transactions -----------------------------------------------------
+//
+// One client, one transaction at a time: MultiShotDb with decision_batch = 1,
+// each cross-shard round over the threaded network. The suite keeps the
+// name it had when these cases ran on the single-shot engine.
+
+MultiShotDb::Options one_client_options(const fs::path& dir, int32_t shards,
+                                        uint64_t seed = 1) {
+  MultiShotDb::Options options;
+  options.shard_count = shards;
+  options.data_dir = dir;
+  options.seed = seed;
+  options.decision_transport = DecisionTransport::kThreadedNetwork;
+  options.decision_batch = 1;
+  return options;
+}
 
 TEST(DistributedDb, MultiShardCommit) {
   TempDir dir;
-  DistributedDb::Options options;
-  options.shard_count = 3;
-  options.data_dir = dir.path();
-  options.seed = 21;
+  MultiShotDb::Options options = one_client_options(dir.path(), 3, 21);
   options.network = {.min_delay = std::chrono::microseconds(20),
                      .max_delay = std::chrono::microseconds(200)};
-  DistributedDb database(options);
+  MultiShotDb database(options);
 
-  const auto outcome = database.execute({
+  const auto outcome = database.execute(0, {
       {0, {{"acct:alice", "50"}}},
       {1, {{"acct:bob", "150"}}},
       {2, {{"ledger:tx1", "alice->bob:50"}}},
@@ -959,16 +971,12 @@ TEST(DistributedDb, MultiShardCommit) {
 
 TEST(DistributedDb, LockConflictAbortsEverywhere) {
   TempDir dir;
-  DistributedDb::Options options;
-  options.shard_count = 2;
-  options.data_dir = dir.path();
-  options.seed = 22;
-  DistributedDb database(options);
+  MultiShotDb database(one_client_options(dir.path(), 2, 22));
 
   // A stuck transaction holds a lock on shard 1 (prepare without outcome).
-  ASSERT_TRUE(database.shard(1).prepare(999, {{"hot", "held"}}));
+  ASSERT_TRUE(database.shard(1).prepare(make_txn_id(2, 1), {{"hot", "held"}}));
 
-  const auto outcome = database.execute({
+  const auto outcome = database.execute(0, {
       {0, {{"cold", "1"}}},
       {1, {{"hot", "2"}}},  // conflicts -> shard 1 votes abort
   });
@@ -980,11 +988,8 @@ TEST(DistributedDb, LockConflictAbortsEverywhere) {
 
 TEST(DistributedDb, SingleShardFastPath) {
   TempDir dir;
-  DistributedDb::Options options;
-  options.shard_count = 2;
-  options.data_dir = dir.path();
-  DistributedDb database(options);
-  const auto outcome = database.execute({{0, {{"solo", "1"}}}});
+  MultiShotDb database(one_client_options(dir.path(), 2));
+  const auto outcome = database.execute(0, {{0, {{"solo", "1"}}}});
   ASSERT_TRUE(outcome.decided);
   EXPECT_EQ(outcome.decision, Decision::kCommit);
   EXPECT_EQ(database.get(0, "solo"), "1");
@@ -995,14 +1000,11 @@ TEST(DistributedDb, SameShardMultiAccountTransaction) {
   // single-shard fast path); regression for the silently-dropped duplicate
   // map key that once broke conservation in the bank example.
   TempDir dir;
-  DistributedDb::Options options;
-  options.shard_count = 2;
-  options.data_dir = dir.path();
-  DistributedDb database(options);
-  std::map<int32_t, std::vector<KvWrite>> writes;
+  MultiShotDb database(one_client_options(dir.path(), 2));
+  GeneratedTxn writes;
   writes[0].push_back({"alice", "900"});
   writes[0].push_back({"bob", "1100"});
-  const auto outcome = database.execute(writes);
+  const auto outcome = database.execute(0, writes);
   ASSERT_TRUE(outcome.decided);
   EXPECT_EQ(outcome.decision, Decision::kCommit);
   EXPECT_EQ(database.get(0, "alice"), "900");
@@ -1011,16 +1013,12 @@ TEST(DistributedDb, SameShardMultiAccountTransaction) {
 
 TEST(DistributedDb, MixedSameAndCrossShardWrites) {
   TempDir dir;
-  DistributedDb::Options options;
-  options.shard_count = 2;
-  options.data_dir = dir.path();
-  options.seed = 77;
-  DistributedDb database(options);
-  std::map<int32_t, std::vector<KvWrite>> writes;
+  MultiShotDb database(one_client_options(dir.path(), 2, 77));
+  GeneratedTxn writes;
   writes[0].push_back({"a", "1"});
   writes[0].push_back({"b", "2"});
   writes[1].push_back({"c", "3"});
-  const auto outcome = database.execute(writes);
+  const auto outcome = database.execute(0, writes);
   ASSERT_TRUE(outcome.decided);
   EXPECT_EQ(outcome.decision, Decision::kCommit);
   EXPECT_EQ(database.get(0, "a"), "1");
@@ -1030,13 +1028,9 @@ TEST(DistributedDb, MixedSameAndCrossShardWrites) {
 
 TEST(DistributedDb, SequentialTransactionsReuseKeys) {
   TempDir dir;
-  DistributedDb::Options options;
-  options.shard_count = 2;
-  options.data_dir = dir.path();
-  options.seed = 23;
-  DistributedDb database(options);
+  MultiShotDb database(one_client_options(dir.path(), 2, 23));
   for (int round = 0; round < 3; ++round) {
-    const auto outcome = database.execute({
+    const auto outcome = database.execute(0, {
         {0, {{"counter", std::to_string(round)}}},
         {1, {{"mirror", std::to_string(round)}}},
     });
@@ -1050,20 +1044,14 @@ TEST(DistributedDb, SequentialTransactionsReuseKeys) {
 TEST(DistributedDb, SurvivesRestartAcrossTransactions) {
   TempDir dir;
   {
-    DistributedDb::Options options;
-    options.shard_count = 2;
-    options.data_dir = dir.path();
-    DistributedDb database(options);
+    MultiShotDb database(one_client_options(dir.path(), 2));
     ASSERT_EQ(database
-                  .execute({{0, {{"persist", "yes"}}}, {1, {{"persist", "also"}}}})
+                  .execute(0, {{0, {{"persist", "yes"}}}, {1, {{"persist", "also"}}}})
                   .decision,
               Decision::kCommit);
   }
-  // "Restart": a new DistributedDb over the same directory recovers state.
-  DistributedDb::Options options;
-  options.shard_count = 2;
-  options.data_dir = dir.path();
-  DistributedDb database(options);
+  // "Restart": a new engine over the same directory recovers state.
+  MultiShotDb database(one_client_options(dir.path(), 2));
   EXPECT_EQ(database.get(0, "persist"), "yes");
   EXPECT_EQ(database.get(1, "persist"), "also");
 }

@@ -279,8 +279,8 @@ TEST(DdminKeepTest, NonViolatingSetReturnsUnchanged) {
 
 /// Pads a crash with harmless duplicate actions; shrinking against the "did
 /// it crash" oracle must strip the padding and keep one crash action.
-template <typename Options>
-void expect_shrinks_to_the_crash(const Options& options, const fs::path& eval_dir) {
+void expect_shrinks_to_the_crash(const MultiTortureOptions& options,
+                                 const fs::path& eval_dir) {
   FaultPlan plan = FaultPlan::none();
   plan.add({1, FaultKind::kDuplicate, 0});
   plan.add({4, FaultKind::kDuplicate, 0});
@@ -289,7 +289,7 @@ void expect_shrinks_to_the_crash(const Options& options, const fs::path& eval_di
   const auto violates = [&](const std::vector<size_t>& keep) {
     std::vector<FaultAction> subset;
     for (const size_t index : keep) subset.push_back(all[index]);
-    Options point = options;
+    MultiTortureOptions point = options;
     point.scratch_dir = eval_dir;
     return run_crash_point(point, plan.with_actions(subset)).crashed;
   };
@@ -299,13 +299,15 @@ void expect_shrinks_to_the_crash(const Options& options, const fs::path& eval_di
 }
 
 TEST_F(FaultInjectFixture, ShrinkFaultPlanDropsIrrelevantActions) {
-  TortureOptions options;
-  options.txns = 3;
+  // One transaction at a time: three batches of one instance.
+  MultiTortureOptions options;
+  options.batches = 3;
+  options.batch_size = 1;
   expect_shrinks_to_the_crash(options, dir_ / "shrink-eval");
 }
 
 TEST_F(FaultInjectFixture, ShrinkPipelinedFaultPlanDropsIrrelevantActions) {
-  // The same padding over the pipelined workload: site 6 falls inside the
+  // The same padding with eight instances per batch: site 6 falls inside the
   // first batch, with several instances prepared and undecided.
   expect_shrinks_to_the_crash(MultiTortureOptions{}, dir_ / "shrink-eval");
 }

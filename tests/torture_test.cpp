@@ -1,27 +1,26 @@
-// Crash-point torture over both workloads of faultinject/torture.h: every
+// Crash-point torture over the workload of faultinject/torture.h: every
 // reachable WAL injection site is hit with every WAL fault kind, and
 // recovery must restore a state equivalent to the committed-prefix reference
 // — cross-shard atomicity included ("at all processors or at no processor")
 // (SQLite crash-test style).
 //
-//   WalTortureFixture        the serial DistributedDb workload;
-//   MultiShotTortureFixture  a 3-shard × 8-in-flight pipelined MultiShotDb
-//                            workload, in per-append and group-commit modes.
+//   WalTortureFixture        one transaction at a time (batch_size = 1);
+//   MultiShotTortureFixture  3 shards × 8 instances in flight per batch, in
+//                            per-append and group-commit modes.
 //
 // Recovery itself is crashed too: at every outcome-group flush of
 // resolve_all, after a crash at every workload site, then resolved again.
 //
 // The tier-1 run sweeps one seed; configuring with -DRCOMMIT_LONG_TESTS=ON
 // adds seed-matrix variants over larger workloads (CI's swarm-smoke job).
-// The pipelined corpus (tests/corpus_multishot) replays here; the serial one
-// (tests/corpus_fault) in faultkit_replay_test.
+// The corpus under tests/corpus_multishot replays here; tests/corpus_fault in
+// faultkit_replay_test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <optional>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "db/multishot.h"
@@ -51,7 +50,15 @@ class TortureFixture : public ::testing::Test {
   fs::path dir_;
 };
 
-class WalTortureFixture : public TortureFixture {};
+class WalTortureFixture : public TortureFixture {
+ protected:
+  /// The one-transaction-at-a-time shape: four batches of one instance, each
+  /// prepared, decided and applied before the next begins.
+  [[nodiscard]] static MultiTortureOptions one_at_a_time(uint64_t seed,
+                                                         const fs::path& dir) {
+    return {.batches = 4, .batch_size = 1, .seed = seed, .scratch_dir = dir};
+  }
+};
 class MultiShotTortureFixture : public TortureFixture {};
 
 void expect_clean_sweep(const SweepResult& result) {
@@ -66,12 +73,11 @@ void expect_clean_sweep(const SweepResult& result) {
 
 /// Sweeps every outcome-group site of recovery × every fault kind, for each
 /// workload crash in `workload_plans`; returns the recovery crash points run.
-template <typename Options>
-int64_t sweep_recovery_crashes(const Options& options,
+int64_t sweep_recovery_crashes(const MultiTortureOptions& options,
                                const std::vector<FaultPlan>& workload_plans) {
   int64_t crash_points = 0;
   for (size_t i = 0; i < workload_plans.size(); ++i) {
-    Options point = options;
+    MultiTortureOptions point = options;
     point.scratch_dir = options.scratch_dir / ("workload" + std::to_string(i));
     const SweepResult result =
         run_recovery_sweep(point, workload_plans[i], {.threads = 2});
@@ -89,9 +95,8 @@ int64_t sweep_recovery_crashes(const Options& options,
 
 /// A crash-after at every workload site: each leaves a different set of
 /// in-doubt transactions for recovery to resolve.
-template <typename Options>
-std::vector<FaultPlan> workload_crashes(const Options& options) {
-  Options probe = options;
+std::vector<FaultPlan> workload_crashes(const MultiTortureOptions& options) {
+  MultiTortureOptions probe = options;
   probe.scratch_dir = options.scratch_dir / "enumerate";
   const auto sites = static_cast<int64_t>(enumerate_sites(probe).size());
   std::vector<FaultPlan> plans;
@@ -101,22 +106,20 @@ std::vector<FaultPlan> workload_crashes(const Options& options) {
   return plans;
 }
 
-// --- the serial workload ------------------------------------------------------
+// --- one transaction at a time ------------------------------------------------
 
 TEST_F(WalTortureFixture, ExhaustiveSweepRecoversEquivalently) {
-  TortureOptions options;
-  options.scratch_dir = dir_;
-  expect_clean_sweep(run_wal_sweep(options, {.threads = 2}));
+  expect_clean_sweep(run_wal_sweep(one_at_a_time(1, dir_), {.threads = 2}));
 }
 
 TEST_F(WalTortureFixture, CrashPointIsReproducibleFromSeedAndSite) {
   // The acceptance bar: a crash point is a pure function of (seed, site).
-  TortureOptions first = {.seed = 7, .scratch_dir = dir_ / "a"};
-  TortureOptions second = {.seed = 7, .scratch_dir = dir_ / "b"};
+  const MultiTortureOptions first = one_at_a_time(7, dir_ / "a");
+  const MultiTortureOptions second = one_at_a_time(7, dir_ / "b");
   const FaultPlan plan = FaultPlan::wal_fault_at(5, FaultKind::kTornWrite, 99);
   EXPECT_EQ(run_crash_point(first, plan), run_crash_point(second, plan));
 
-  TortureOptions other_seed = {.seed = 8, .scratch_dir = dir_ / "c"};
+  const MultiTortureOptions other_seed = one_at_a_time(8, dir_ / "c");
   const auto different = run_crash_point(other_seed, plan);
   const auto baseline = run_crash_point(first, plan);
   // Different seed, different workload — the digest should move (and if the
@@ -127,8 +130,7 @@ TEST_F(WalTortureFixture, CrashPointIsReproducibleFromSeedAndSite) {
 }
 
 TEST_F(WalTortureFixture, EnumerationIsStable) {
-  TortureOptions options;
-  options.scratch_dir = dir_;
+  const MultiTortureOptions options = one_at_a_time(1, dir_);
   const auto first = enumerate_sites(options);
   const auto second = enumerate_sites(options);
   ASSERT_EQ(first.size(), second.size());
@@ -143,12 +145,11 @@ TEST_F(WalTortureFixture, EnumerationIsStable) {
 TEST_F(WalTortureFixture, CrashInsideRecoveryReResolvesEquivalently) {
   // One transaction in flight at each crash, plus the held hot transaction:
   // recovery's outcome groups are at most one per shard.
-  TortureOptions options;
-  options.scratch_dir = dir_;
+  const MultiTortureOptions options = one_at_a_time(1, dir_);
   EXPECT_GT(sweep_recovery_crashes(options, workload_crashes(options)), 0);
 }
 
-// --- the pipelined workload ---------------------------------------------------
+// --- many instances in flight per batch ----------------------------------------
 
 TEST_F(MultiShotTortureFixture, CrashAtEveryAppendRecoversEquivalently) {
   MultiTortureOptions options;  // 3 shards x 3 batches x 8 in flight
@@ -397,9 +398,12 @@ TEST_F(MultiShotTortureFixture, OptionsRoundTripThroughDisk) {
 }
 
 TEST_F(MultiShotTortureFixture, ArtifactRoundTripsAndIsDetected) {
+  // Group-commit knobs included: the loaded options are the written ones.
   const fs::path artifact_dir = dir_ / "artifact";
   MultiTortureOptions options;
   options.seed = 21;
+  options.group_commit = true;
+  options.decision_batch = 4;
   FaultPlan plan = FaultPlan::wal_fault_at(4, FaultKind::kPartialFlush);
   CrashPointResult expected;
   expected.crashed = true;
@@ -408,20 +412,9 @@ TEST_F(MultiShotTortureFixture, ArtifactRoundTripsAndIsDetected) {
   expected.digest = 0xdeadbeef;
   write_fault_artifact(artifact_dir, {options, plan, expected});
   const FaultArtifact back = load_fault_artifact(artifact_dir);
-  ASSERT_TRUE(std::holds_alternative<MultiTortureOptions>(back.options));
-  EXPECT_EQ(std::get<MultiTortureOptions>(back.options).serialize(),
-            options.serialize());
+  EXPECT_EQ(back.options.serialize(), options.serialize());
   EXPECT_EQ(back.plan, plan);
   EXPECT_EQ(back.expected, expected);
-}
-
-TEST_F(MultiShotTortureFixture, SerialArtifactIsNotDetectedAsMultishot) {
-  const fs::path artifact_dir = dir_ / "serial-artifact";
-  TortureOptions options;
-  write_fault_artifact(artifact_dir,
-                       {options, FaultPlan::none(), CrashPointResult{}});
-  EXPECT_FALSE(std::holds_alternative<MultiTortureOptions>(
-      load_fault_artifact(artifact_dir).options));
 }
 
 TEST_F(MultiShotTortureFixture, CorpusEntriesReplayIdentically) {
@@ -432,7 +425,6 @@ TEST_F(MultiShotTortureFixture, CorpusEntriesReplayIdentically) {
     if (!entry.is_directory()) continue;
     SCOPED_TRACE(entry.path().filename().string());
     const FaultArtifact artifact = load_fault_artifact(entry.path());
-    ASSERT_TRUE(std::holds_alternative<MultiTortureOptions>(artifact.options));
     const CrashPointResult result = replay_fault_artifact(
         artifact, dir_ / ("corpus-" + entry.path().filename().string()));
     EXPECT_EQ(result, artifact.expected)
@@ -443,18 +435,17 @@ TEST_F(MultiShotTortureFixture, CorpusEntriesReplayIdentically) {
   }
   EXPECT_GE(replayed, 4) << "multishot corpus at " << corpus
                          << " must hold at least four committed entries "
-                            "(two serial-era, two group-commit)";
+                            "(two per-append, two group-commit)";
 }
 
 #ifdef RCOMMIT_LONG_TESTS
 TEST_F(WalTortureFixture, SeedMatrixSweep) {
   // The long-test matrix: more seeds, bigger workloads, full fan-out.
   for (const uint64_t seed : {11ull, 12ull, 13ull, 14ull}) {
-    TortureOptions options;
-    options.seed = seed;
-    options.txns = 6;
+    MultiTortureOptions options =
+        one_at_a_time(seed, dir_ / ("seed-" + std::to_string(seed)));
+    options.batches = 6;
     options.fanout = 3;
-    options.scratch_dir = dir_ / ("seed-" + std::to_string(seed));
     SCOPED_TRACE("seed " + std::to_string(seed));
     expect_clean_sweep(run_wal_sweep(options, {.threads = 4}));
   }

@@ -8,19 +8,16 @@
 //   --artifact=<dir>     replay a saved artifact and diff against its report;
 //                        exit 2 if it is missing, malformed or out of range
 //
-// Workload knobs (--seed --shards --txns --fanout --keys) feed TortureOptions;
-// a sweep failure is reproducible from (seed, site) alone — see
-// docs/fault-injection.md for the repro recipe CI prints.
-//
-// --multishot switches every mode onto the pipelined MultiShotDb workload
-// (MultiTortureOptions: --batches/--batch-size replace --txns), where a crash
-// leaves many transactions in doubt per shard. --artifact auto-detects the
-// schema from config.txt, so saved multi-shot artifacts replay either way.
+// Workload knobs (--seed --shards --batches --batch-size --fanout --keys
+// --group-commit --decision-batch) feed MultiTortureOptions: the pipelined
+// MultiShotDb workload, where a crash leaves many transactions in doubt per
+// shard; --batch-size=1 runs one transaction at a time. A sweep failure is
+// reproducible from (seed, site) alone — see docs/fault-injection.md for the
+// repro recipe CI prints.
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
-#include <variant>
 
 #include "common/check.h"
 #include "common/flags.h"
@@ -45,16 +42,13 @@ const std::vector<FlagDoc> kDocs = {
     {"save", "dir", "with --replay: also write the crash point as an artifact"},
     {"seed", "N", "workload seed (default 1)"},
     {"shards", "N", "shard count (default 3)"},
-    {"txns", "N", "workload transactions (default 4)"},
     {"fanout", "N", "shards per transaction (default 2)"},
     {"keys", "N", "keys per shard (default 4)"},
-    {"multishot", "", "pipelined MultiShotDb workload (many txns in doubt)"},
-    {"batches", "N", "--multishot: pipelined batches (default 3)"},
-    {"batch-size", "N", "--multishot: in-flight txns per batch (default 8)"},
-    {"group-commit", "", "--multishot: group-commit WAL mode (sites move to "
-                         "group-flush boundaries)"},
-    {"decision-batch", "N",
-     "--multishot: prepared txns decided per protocol round (default 1)"},
+    {"batches", "N", "pipelined batches (default 3)"},
+    {"batch-size", "N", "in-flight txns per batch (default 8)"},
+    {"group-commit", "", "group-commit WAL mode (sites move to group-flush "
+                         "boundaries)"},
+    {"decision-batch", "N", "prepared txns decided per protocol round (default 1)"},
     {"threads", "N", "sweep parallelism (default 1)"},
     {"max-sites", "N", "cap swept sites; -1 = all (default)"},
     {"artifacts", "dir", "where --sweep writes shrunk failure artifacts"},
@@ -76,15 +70,8 @@ void print_sites(const std::vector<SiteInfo>& sites) {
   std::cout << sites.size() << " reachable WAL sites\n";
 }
 
-template <typename Options>
-int run_enumerate(const Options& options) {
-  print_sites(enumerate_sites(options));
-  return 0;
-}
-
-template <typename Options>
-int run_sweep(const Options& options, const SweepOptions& sweep,
-              const std::string& artifacts_dir, const std::string& artifact_prefix) {
+int run_sweep(const MultiTortureOptions& options, const SweepOptions& sweep,
+              const std::string& artifacts_dir) {
   const auto result = run_wal_sweep(options, sweep);
   std::cout << "sites=" << result.sites << " crash_points=" << result.crash_points
             << " failures=" << result.failures.size() << "\n";
@@ -94,12 +81,11 @@ int run_sweep(const Options& options, const SweepOptions& sweep,
     print_result(failure.result);
     if (artifacts_dir.empty()) continue;
     const FaultPlan shrunk = shrink_fault_plan(options, failure.plan);
-    Options replay_options = options;
+    MultiTortureOptions replay_options = options;
     replay_options.scratch_dir = options.scratch_dir / "artifact-replay";
     const CrashPointResult expected = run_crash_point(replay_options, shrunk);
     fs::remove_all(replay_options.scratch_dir);
-    const fs::path dir =
-        fs::path(artifacts_dir) / (artifact_prefix + std::to_string(index++));
+    const fs::path dir = fs::path(artifacts_dir) / ("fault-" + std::to_string(index++));
     write_fault_artifact(dir, {options, shrunk, expected});
     std::cout << "artifact: " << dir.string() << "\n";
     std::cout << "reproduce: faultkit --artifact=" << dir.string() << "\n";
@@ -107,9 +93,8 @@ int run_sweep(const Options& options, const SweepOptions& sweep,
   return result.ok() ? 0 : 1;
 }
 
-template <typename Options>
-int run_replay(const Options& options, int64_t site, const std::string& kind_name,
-               uint64_t arg, const std::string& save_dir) {
+int run_replay(const MultiTortureOptions& options, int64_t site,
+               const std::string& kind_name, uint64_t arg, const std::string& save_dir) {
   const FaultKind kind = parse_fault_kind(kind_name);
   RCOMMIT_CHECK_MSG(is_wal_kind(kind), "--replay takes a WAL fault kind");
   const FaultPlan plan = FaultPlan::wal_fault_at(site, kind, arg);
@@ -156,27 +141,17 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  TortureOptions options;
+  MultiTortureOptions options;
   options.seed = static_cast<uint64_t>(flags.get_int("seed", 1));
   options.shard_count = static_cast<int32_t>(flags.get_int("shards", 3));
-  options.txns = static_cast<int32_t>(flags.get_int("txns", 4));
   options.fanout = static_cast<int32_t>(flags.get_int("fanout", 2));
   options.keys_per_shard = static_cast<int32_t>(flags.get_int("keys", 4));
+  options.batches = static_cast<int32_t>(flags.get_int("batches", 3));
+  options.batch_size = static_cast<int32_t>(flags.get_int("batch-size", 8));
+  options.group_commit = flags.get_bool("group-commit", false);
+  options.decision_batch = static_cast<int32_t>(flags.get_int("decision-batch", 1));
   options.scratch_dir = flags.get_string(
       "dir", (fs::temp_directory_path() / "faultkit-scratch").string());
-
-  const bool multishot = flags.get_bool("multishot", false);
-  MultiTortureOptions multi_options;
-  multi_options.seed = options.seed;
-  multi_options.shard_count = options.shard_count;
-  multi_options.fanout = options.fanout;
-  multi_options.keys_per_shard = options.keys_per_shard;
-  multi_options.batches = static_cast<int32_t>(flags.get_int("batches", 3));
-  multi_options.batch_size = static_cast<int32_t>(flags.get_int("batch-size", 8));
-  multi_options.group_commit = flags.get_bool("group-commit", false);
-  multi_options.decision_batch =
-      static_cast<int32_t>(flags.get_int("decision-batch", 1));
-  multi_options.scratch_dir = options.scratch_dir;
 
   const bool enumerate = flags.get_bool("enumerate", false);
   const bool sweep = flags.get_bool("sweep", false);
@@ -204,22 +179,14 @@ int main(int argc, char** argv) {
 
   int exit_code = 0;
   if (!artifact.empty()) {
-    // --artifact detects the workload from config.txt; --multishot is moot.
     exit_code = run_artifact(artifact, options.scratch_dir);
+  } else if (enumerate) {
+    print_sites(enumerate_sites(options));
+  } else if (sweep) {
+    exit_code = run_sweep(options, sweep_options, artifacts_dir);
   } else {
-    const WorkloadOptions workload =
-        multishot ? WorkloadOptions(multi_options) : WorkloadOptions(options);
-    exit_code = std::visit(
-        [&](const auto& workload_options) {
-          if (enumerate) return run_enumerate(workload_options);
-          if (sweep) {
-            return run_sweep(workload_options, sweep_options, artifacts_dir,
-                             multishot ? "multifault-" : "fault-");
-          }
-          return run_replay(workload_options, site, kind, arg, save_dir);
-        },
-        workload);
+    exit_code = run_replay(options, site, kind, arg, save_dir);
   }
-  std::filesystem::remove_all(options.scratch_dir);
+  fs::remove_all(options.scratch_dir);
   return exit_code;
 }
