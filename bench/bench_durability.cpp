@@ -7,16 +7,25 @@
 // WAL crash points must recover equivalently to the reference state machine
 // at every point, the zero-fault instrumentation must be byte-identical to
 // an uninstrumented run, and the overhead of carrying the injection hook on
-// the hot append path is reported.
+// the hot append path is reported. Two tracked scalars time what a restart
+// costs over a seeded crash image: reopening the shard stores (reopen_ms)
+// and resolving their in-doubt transactions (resolve_all_ms).
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/check.h"
 #include "common/stats.h"
 #include "db/kv.h"
+#include "db/multishot.h"
+#include "db/recovery.h"
+#include "db/workload.h"
 #include "faultinject/torture.h"
 #include "metrics/report.h"
 
@@ -51,6 +60,141 @@ double append_rate(const fs::path& dir, int appends, db::WalFaultHook* hook) {
   const auto end = std::chrono::steady_clock::now();
   const auto elapsed = std::chrono::duration<double>(end - start).count();
   return static_cast<double>(appends) / elapsed;
+}
+
+// --- restart cost over a crash image ------------------------------------------
+
+constexpr int32_t kImageShards = 5;
+constexpr int kSealEvery = 8;  ///< sealed rule-3 instances per seal
+
+fs::path image_wal(const fs::path& dir, int32_t shard) {
+  return dir / ("shard-" + std::to_string(shard) + ".wal");
+}
+
+std::vector<int32_t> participants_of(const db::GeneratedTxn& txn) {
+  std::vector<int32_t> shards;
+  for (const auto& [shard, writes] : txn) shards.push_back(shard);
+  return shards;
+}
+
+/// Writes into `dir` the shard logs a crashed multi-shot engine would leave,
+/// through the KvStore calls the engine makes: `resolved` transactions
+/// prepared and committed everywhere, then `in_doubt` instances cycling
+/// through the recovery rules — rule 1 (commit recorded on one shard only),
+/// rule 2 (the last listed participant never prepared), and rule 3 (all
+/// prepared, no outcome), sealed in batches of kSealEvery or unsealed.
+/// Returns what resolve_all must report on it.
+db::RecoveryReport build_crash_image(const fs::path& dir, uint64_t seed, int resolved,
+                                     int in_doubt) {
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  std::vector<std::unique_ptr<db::KvStore>> stores;
+  for (int32_t shard = 0; shard < kImageShards; ++shard) {
+    stores.push_back(std::make_unique<db::KvStore>(image_wal(dir, shard)));
+    stores.back()->wal_begin_group();  // batches flushes only; same frames
+  }
+  std::vector<int64_t> sequence(kImageShards, 1);
+  const auto next_id = [&](int32_t origin) {
+    return db::make_txn_id(origin, sequence[static_cast<size_t>(origin)]++);
+  };
+  const auto prepare = [&](db::TxnId txn, const db::GeneratedTxn& writes, int32_t shard,
+                           const std::vector<int32_t>& participants) {
+    RCOMMIT_CHECK(stores[static_cast<size_t>(shard)]->prepare(txn, writes.at(shard),
+                                                              participants));
+  };
+  const db::WorkloadOptions shape{.shard_count = kImageShards,
+                                  .keys_per_shard = 2000,
+                                  .fanout = 3,
+                                  .writes_per_shard = 2,
+                                  .skew = 0.9};
+
+  db::WorkloadGenerator history(shape, seed);
+  for (int i = 0; i < resolved; ++i) {
+    const db::GeneratedTxn txn = history.next();
+    const std::vector<int32_t> participants = participants_of(txn);
+    const db::TxnId id = next_id(participants.front());
+    for (const int32_t shard : participants) prepare(id, txn, shard, participants);
+    for (const int32_t shard : participants) stores[static_cast<size_t>(shard)]->commit(id);
+  }
+
+  // In-doubt instances keep their locks, so each writes keys of its own.
+  db::WorkloadGenerator doubts(shape, seed + 1);
+  db::RecoveryReport expected;
+  std::vector<db::TxnId> seal_members;
+  std::set<int32_t> seal_shards;
+  for (int i = 0; i < in_doubt; ++i) {
+    db::GeneratedTxn txn = doubts.next();
+    int j = 0;
+    for (auto& [shard, writes] : txn) {
+      for (auto& write : writes) {
+        write.key = "doubt:" + std::to_string(i) + ":" + std::to_string(j++);
+      }
+    }
+    const std::vector<int32_t> participants = participants_of(txn);
+    const db::TxnId id = next_id(participants.front());
+    std::vector<int32_t> prepared = participants;
+    const int rule = i % 4;
+    if (rule == 1) prepared.pop_back();
+    for (const int32_t shard : prepared) prepare(id, txn, shard, participants);
+    if (rule == 0) stores[static_cast<size_t>(participants.front())]->commit(id);
+    if (rule == 2) {
+      seal_members.push_back(id);
+      seal_shards.insert(participants.begin(), participants.end());
+      if (static_cast<int>(seal_members.size()) == kSealEvery) {
+        for (const int32_t shard : seal_shards) {
+          stores[static_cast<size_t>(shard)]->seal_batch(seal_members.front(), seal_members);
+        }
+        ++expected.reran_protocol;
+        seal_members.clear();
+        seal_shards.clear();
+      }
+    }
+    if (rule == 3) ++expected.reran_protocol;
+    (rule == 1 ? expected.resolved_abort : expected.resolved_commit) += 1;
+  }
+  // An unfinished seal stays unwritten: its members rerun one by one.
+  expected.reran_protocol += static_cast<int64_t>(seal_members.size());
+  for (auto& store : stores) store->wal_end_group();
+  return expected;
+}
+
+struct RestartTiming {
+  double reopen_ms = 0.0;
+  double resolve_all_ms = 0.0;
+};
+
+/// Copies the image into `work` (untimed), then times reopening its shard
+/// stores and resolve_all over them; checks the report against `expected`.
+RestartTiming time_restart(const fs::path& image, const fs::path& work,
+                           const db::RecoveryReport& expected) {
+  fs::remove_all(work);
+  fs::create_directories(work);
+  for (int32_t shard = 0; shard < kImageShards; ++shard) {
+    fs::copy_file(image_wal(image, shard), image_wal(work, shard));
+  }
+  // Real open and resolve work is the measurement here, not a simulation input.
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::unique_ptr<db::KvStore>> stores;
+  std::vector<db::KvStore*> raw;
+  for (int32_t shard = 0; shard < kImageShards; ++shard) {
+    stores.push_back(std::make_unique<db::KvStore>(image_wal(work, shard)));
+    raw.push_back(stores.back().get());
+  }
+  const auto opened = std::chrono::steady_clock::now();
+  db::RecoveryManager manager(raw, {.seed = 1});
+  const db::RecoveryReport report = manager.resolve_all();
+  const auto resolved = std::chrono::steady_clock::now();
+  RCOMMIT_CHECK_MSG(report == expected,
+                    "crash image resolved to commit " << report.resolved_commit << ", abort "
+                                                      << report.resolved_abort << ", reruns "
+                                                      << report.reran_protocol);
+  return {std::chrono::duration<double, std::milli>(opened - start).count(),
+          std::chrono::duration<double, std::milli>(resolved - opened).count()};
+}
+
+double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 void body(bench::Context& ctx) {
@@ -108,6 +252,28 @@ void body(bench::Context& ctx) {
   ctx.scalar("plain_commits_per_sec", plain_rate, "1/s");
   ctx.scalar("hooked_commits_per_sec", hooked_rate, "1/s");
   ctx.scalar("hook_overhead_ratio", overhead);
+
+  // --- restart cost: reopen and resolve a crash image ---------------------
+  // The image build is untimed; each timed restart starts from a fresh copy.
+  const int resolved_txns = ctx.quick() ? 4096 : 16384;
+  const int in_doubt_txns = ctx.quick() ? 512 : 2048;
+  const db::RecoveryReport expected = build_crash_image(
+      root / "image", ctx.derive_seed(151), resolved_txns, in_doubt_txns);
+  std::vector<double> reopen_ms;
+  std::vector<double> resolve_all_ms;
+  for (int i = 0, n = ctx.runs(15, /*quick_floor=*/5); i < n; ++i) {
+    const RestartTiming timing = time_restart(root / "image", root / "restart", expected);
+    reopen_ms.push_back(timing.reopen_ms);
+    resolve_all_ms.push_back(timing.resolve_all_ms);
+  }
+  Table restart({"restart over a crash image", "median ms"});
+  restart.row({"reopen " + std::to_string(kImageShards) + " shard stores",
+               Table::num(median_of(reopen_ms), 2)});
+  restart.row({"resolve_all (" + std::to_string(in_doubt_txns) + " in doubt)",
+               Table::num(median_of(resolve_all_ms), 2)});
+  ctx.table("durability_restart", restart);
+  ctx.scalar("reopen_ms", median_of(reopen_ms), "ms");
+  ctx.scalar("resolve_all_ms", median_of(resolve_all_ms), "ms");
 
   std::error_code ec;
   fs::remove_all(root, ec);

@@ -40,6 +40,13 @@ uint32_t load_le32(const uint8_t* p) {
 
 }  // namespace
 
+void throw_truncated(uint64_t need, size_t have) {
+  throw CodecError("truncated buffer: need " + std::to_string(need) + " bytes, have " +
+                   std::to_string(have));
+}
+
+void throw_codec_error(const char* what) { throw CodecError(what); }
+
 uint32_t crc32c(std::span<const uint8_t> data) {
   const auto& t = kCrc32cTables;
   uint32_t crc = 0xffffffff;

@@ -96,6 +96,14 @@ class BufWriter {
   std::vector<uint8_t> buf_;
 };
 
+/// Throws the CodecError for a read of `need` bytes with only `have` left.
+/// Out of line and cold, so the bounds check in every BufReader read inlines
+/// to a compare and a never-taken branch: building the message is the only
+/// costly part of a failed read.
+[[gnu::cold, noreturn]] void throw_truncated(uint64_t need, size_t have);
+/// Throws CodecError(what); cold and out of line for the same reason.
+[[gnu::cold, noreturn]] void throw_codec_error(const char* what);
+
 /// Reads primitive values back out of a byte buffer. Throws CodecError on
 /// truncation — callers must treat network bytes as untrusted.
 class BufReader {
@@ -107,35 +115,18 @@ class BufReader {
     return data_[pos_++];
   }
 
-  uint16_t u16() {
-    uint16_t lo = u8();
-    uint16_t hi = u8();
-    return static_cast<uint16_t>(lo | (hi << 8));
-  }
-
-  uint32_t u32() {
-    uint32_t lo = u16();
-    uint32_t hi = u16();
-    return lo | (hi << 16);
-  }
-
-  uint64_t u64() {
-    uint64_t lo = u32();
-    uint64_t hi = u32();
-    return lo | (hi << 32);
-  }
+  uint16_t u16() { return static_cast<uint16_t>(fixed(2)); }
+  uint32_t u32() { return static_cast<uint32_t>(fixed(4)); }
+  uint64_t u64() { return fixed(8); }
 
   uint64_t varint() {
     uint64_t result = 0;
-    int shift = 0;
-    for (;;) {
-      uint8_t byte = u8();
-      if (shift >= 64) throw CodecError("varint too long");
+    for (int shift = 0;; shift += 7) {
+      const uint8_t byte = u8();
+      if (shift >= 64) throw_codec_error("varint too long");
       result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-      if ((byte & 0x80) == 0) break;
-      shift += 7;
+      if ((byte & 0x80) == 0) return result;
     }
-    return result;
   }
 
   int64_t svarint() {
@@ -146,20 +137,17 @@ class BufReader {
   bool boolean() { return u8() != 0; }
 
   std::vector<uint8_t> bytes() {
-    uint64_t len = varint();
-    require(len);
-    std::vector<uint8_t> out(data_.begin() + static_cast<ptrdiff_t>(pos_),
-                             data_.begin() + static_cast<ptrdiff_t>(pos_ + len));
-    pos_ += len;
-    return out;
+    const auto view = take(varint());
+    return {view.begin(), view.end()};
   }
 
-  std::string str() {
-    uint64_t len = varint();
-    require(len);
-    std::string out(reinterpret_cast<const char*>(data_.data()) + pos_, len);
-    pos_ += len;
-    return out;
+  std::string str() { return std::string(str_view()); }
+
+  /// A length-prefixed string as a view into the buffer: no copy, valid as
+  /// long as the buffer is.
+  std::string_view str_view() {
+    const auto view = take(varint());
+    return {reinterpret_cast<const char*>(view.data()), view.size()};
   }
 
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
@@ -167,10 +155,26 @@ class BufReader {
 
  private:
   void require(uint64_t count) const {
-    if (pos_ + count > data_.size()) {
-      throw CodecError("truncated buffer: need " + std::to_string(count) +
-                       " bytes, have " + std::to_string(data_.size() - pos_));
+    if (count > data_.size() - pos_) throw_truncated(count, data_.size() - pos_);
+  }
+
+  /// The next `count` bytes, consumed.
+  std::span<const uint8_t> take(uint64_t count) {
+    require(count);
+    const auto view = data_.subspan(pos_, static_cast<size_t>(count));
+    pos_ += static_cast<size_t>(count);
+    return view;
+  }
+
+  /// A `width`-byte little-endian integer, after one bounds check.
+  uint64_t fixed(size_t width) {
+    require(width);
+    uint64_t v = 0;
+    for (size_t i = 0; i < width; ++i) {
+      v |= static_cast<uint64_t>(data_[pos_ + i]) << (8 * i);
     }
+    pos_ += width;
+    return v;
   }
 
   std::span<const uint8_t> data_;

@@ -18,16 +18,14 @@ void merge_sorted(std::vector<T>& into, const std::vector<T>& more) {
 
 }  // namespace
 
-void ShardSurvey::add(const WalRecord& record) {
+void ShardSurvey::add(const WalRecordView& record) {
   switch (record.type) {
     case WalRecordType::kBegin:
-    case WalRecordType::kWrite: {
-      Txn& txn = txns[record.txn_id];
-      if (txn.status == ShardTxnStatus::kUnknown) txn.status = ShardTxnStatus::kStagedOnly;
+    case WalRecordType::kWrite:
+      txns[record.txn_id].staged();
       break;
-    }
     case WalRecordType::kPrepared:
-      prepared(record.txn_id, decode_participant_list(record.value));
+      txns[record.txn_id].prepared(decode_participant_list(record.value));
       break;
     case WalRecordType::kCommit:
       txns[record.txn_id].status = ShardTxnStatus::kCommitted;
@@ -38,23 +36,32 @@ void ShardSurvey::add(const WalRecord& record) {
     case WalRecordType::kSnapshot:
       break;  // checkpointed committed state; no per-txn status
     case WalRecordType::kBatchSeal:
-      // The same seal is appended to every shard its batch touched; a torn
-      // group can leave it on a strict subset, so readers merge across shards.
-      merge_sorted(seals[record.txn_id], decode_txn_list(record.value));
+      sealed(record.txn_id, decode_txn_list(record.value));
       break;
   }
 }
 
-void ShardSurvey::prepared(TxnId txn_id, const std::vector<int32_t>& participants) {
-  Txn& txn = txns[txn_id];
-  txn.status = ShardTxnStatus::kPrepared;
-  if (!participants.empty()) merge_sorted(txn.participants, participants);
+void ShardSurvey::sealed(int64_t batch_id, const std::vector<TxnId>& members) {
+  // The same seal is appended to every shard its batch touched; a torn
+  // group can leave it on a strict subset, so readers merge across shards.
+  merge_sorted(seals[batch_id], members);
+}
+
+void ShardSurvey::Txn::prepared(const std::vector<int32_t>& list) {
+  status = ShardTxnStatus::kPrepared;
+  if (!list.empty()) merge_sorted(participants, list);
 }
 
 KvStore::KvStore(const std::filesystem::path& wal_path) {
-  // One decode: the WAL's tail scan hands every intact record to replay().
-  wal_ = std::make_unique<WriteAheadLog>(
-      wal_path, [this](WalRecord&& record) { replay(std::move(record)); });
+  const WalImage image(wal_path);
+  // Size the indexes from the log's own frame counts (upper bounds: each
+  // transaction BEGINs here, and each key arrives in a WRITE or SNAPSHOT),
+  // so the replay below never rehashes them.
+  data_.reserve(static_cast<size_t>(image.frames(WalRecordType::kWrite) +
+                                    image.frames(WalRecordType::kSnapshot)));
+  survey_.txns.reserve(static_cast<size_t>(image.frames(WalRecordType::kBegin)));
+  // One decode: the replay finds the intact prefix and the log is opened at it.
+  wal_ = std::make_unique<WriteAheadLog>(wal_path, replay(image));
   // Unprepared leftovers died before voting: they can only abort.
   std::erase_if(staged_, [](const auto& entry) { return !entry.second.prepared; });
   // Re-acquire locks for in-doubt transactions: their outcome is pending and
@@ -67,41 +74,117 @@ KvStore::KvStore(const std::filesystem::path& wal_path) {
   }
 }
 
-void KvStore::replay(WalRecord&& record) {
-  // PREPARED's participant list is decoded once, below, for both uses.
-  if (record.type != WalRecordType::kPrepared) survey_.add(record);
-  switch (record.type) {
-    case WalRecordType::kBegin:
-      staged_[record.txn_id];  // ensure the entry exists
-      break;
-    case WalRecordType::kWrite:
-      staged_[record.txn_id].writes.push_back(
-          {std::move(record.key), std::move(record.value)});
-      break;
-    case WalRecordType::kPrepared: {
-      Staged& staged = staged_[record.txn_id];
-      staged.prepared = true;
-      staged.participants = decode_participant_list(record.value);
-      survey_.prepared(record.txn_id, staged.participants);
-      break;
+size_t KvStore::replay(const WalImage& image) {
+  // The cursor: the transaction whose run of records is being folded, its
+  // survey entry, and where its staged state lives. A transaction met for
+  // the first time in this run stages into `slot`, its writes views into the
+  // image; one already in staged_ (its earlier records interleaved with
+  // another transaction's) is folded in place there. When the run ends a
+  // live slot parks in staged_, owning its strings. Record for record the
+  // result is what folding each record into staged_[txn] and
+  // survey_.txns[txn] would build, with one lookup of each per run.
+  struct Slot {
+    bool staged = false;  ///< staged_[txn] would exist
+    bool prepared = false;
+    std::vector<std::pair<std::string_view, std::string_view>> writes;
+    std::vector<int32_t> participants;
+
+    void clear() {
+      staged = prepared = false;
+      writes.clear();
+      participants.clear();
     }
-    case WalRecordType::kCommit: {
-      auto it = staged_.find(record.txn_id);
-      if (it != staged_.end()) {
-        apply(std::move(it->second));
-        staged_.erase(it);
-      }
-      break;
+  } slot;
+  bool active = false;
+  TxnId txn = 0;
+  ShardSurvey::Txn* entry = nullptr;
+  auto parked = staged_.end();
+
+  const auto park = [&] {
+    if (!active || parked != staged_.end() || !slot.staged) return;
+    Staged staged;
+    staged.prepared = slot.prepared;
+    staged.participants = slot.participants;
+    staged.writes.reserve(slot.writes.size());
+    for (const auto& [key, value] : slot.writes) {
+      staged.writes.push_back({std::string(key), std::string(value)});
     }
-    case WalRecordType::kAbort:
-      staged_.erase(record.txn_id);
-      break;
-    case WalRecordType::kSnapshot:
-      install(std::move(record.key), std::move(record.value));
-      break;
-    case WalRecordType::kBatchSeal:
-      break;  // a recovery hint for RecoveryManager; carries no shard state
-  }
+    staged_.emplace(txn, std::move(staged));
+  };
+  const auto seek = [&](TxnId id) {
+    if (active && id == txn) return;
+    park();
+    active = true;
+    txn = id;
+    entry = &survey_.txns[id];
+    parked = staged_.find(id);
+    slot.clear();
+  };
+
+  const size_t valid_end = image.decode([&](const WalRecordView& record) {
+    switch (record.type) {
+      case WalRecordType::kBegin:
+        seek(record.txn_id);
+        entry->staged();
+        slot.staged = parked == staged_.end();
+        break;
+      case WalRecordType::kWrite:
+        seek(record.txn_id);
+        entry->staged();
+        if (parked != staged_.end()) {
+          parked->second.writes.push_back(
+              {std::string(record.key), std::string(record.value)});
+        } else {
+          slot.staged = true;
+          slot.writes.emplace_back(record.key, record.value);
+        }
+        break;
+      case WalRecordType::kPrepared:
+        seek(record.txn_id);
+        // The participant list is decoded once, for the staging and the survey.
+        if (parked != staged_.end()) {
+          Staged& staged = parked->second;
+          decode_participant_list(record.value, staged.participants);
+          staged.prepared = true;
+          entry->prepared(staged.participants);
+        } else {
+          decode_participant_list(record.value, slot.participants);
+          slot.staged = slot.prepared = true;
+          entry->prepared(slot.participants);
+        }
+        break;
+      case WalRecordType::kCommit:
+        seek(record.txn_id);
+        entry->status = ShardTxnStatus::kCommitted;
+        if (parked != staged_.end()) {
+          apply(std::move(parked->second));
+          staged_.erase(parked);
+          parked = staged_.end();
+        } else if (slot.staged) {
+          for (const auto& [key, value] : slot.writes) install(key, value);
+        }
+        slot.clear();
+        break;
+      case WalRecordType::kAbort:
+        seek(record.txn_id);
+        entry->status = ShardTxnStatus::kAborted;
+        if (parked != staged_.end()) {
+          staged_.erase(parked);
+          parked = staged_.end();
+        }
+        slot.clear();
+        break;
+      case WalRecordType::kSnapshot:
+        install(record.key, record.value);
+        break;
+      case WalRecordType::kBatchSeal:
+        // A recovery hint for RecoveryManager; carries no shard state.
+        survey_.sealed(record.txn_id, decode_txn_list(record.value));
+        break;
+    }
+  });
+  park();
+  return valid_end;
 }
 
 void KvStore::apply(Staged&& staged) {
@@ -113,6 +196,15 @@ void KvStore::install(std::string&& key, std::string&& value) {
   const auto [it, inserted] = data_.try_emplace(std::move(key));
   it->second = std::move(value);
   if (inserted) key_order_.push_back(&*it);
+}
+
+void KvStore::install(std::string_view key, std::string_view value) {
+  const auto it = data_.find(key);
+  if (it != data_.end()) {
+    it->second.assign(value);
+    return;
+  }
+  key_order_.push_back(&*data_.emplace(key, value).first);
 }
 
 const std::vector<const KvStore::Entry*>& KvStore::sorted_entries() const {
@@ -162,6 +254,31 @@ void KvStore::commit(TxnId txn) {
   auto it = staged_.find(txn);
   RCOMMIT_CHECK_MSG(it != staged_.end() && it->second.prepared,
                     "commit of unprepared transaction " << txn);
+  commit_staged(it);
+}
+
+void KvStore::abort(TxnId txn) {
+  const auto it = staged_.find(txn);
+  if (it != staged_.end()) {
+    abort_staged(it);
+    return;
+  }
+  locks_.unlock_all(txn);
+}
+
+bool KvStore::resolve(TxnId txn, Decision decision) {
+  const auto it = staged_.find(txn);
+  if (it == staged_.end() || !it->second.prepared) return false;
+  if (decision == Decision::kCommit) {
+    commit_staged(it);
+  } else {
+    abort_staged(it);
+  }
+  return true;
+}
+
+void KvStore::commit_staged(StagedMap::iterator it) {
+  const TxnId txn = it->first;
   wal_->append({WalRecordType::kCommit, txn, "", ""});
   survey_backlog_.push_back({txn, ShardTxnStatus::kCommitted, {}});
   apply(std::move(it->second));
@@ -169,17 +286,15 @@ void KvStore::commit(TxnId txn) {
   locks_.unlock_all(txn);
 }
 
-void KvStore::abort(TxnId txn) {
-  // WAL-first, like commit(): if the append throws CrashInjected the staged
+void KvStore::abort_staged(StagedMap::iterator it) {
+  // WAL-first, like commit: if the append throws CrashInjected the staged
   // entry must survive, or a caller that catches the exception would see the
   // transaction gone from memory while the log still says prepared — and a
   // retried abort() would silently skip the kAbort record.
-  auto it = staged_.find(txn);
-  if (it != staged_.end()) {
-    wal_->append({WalRecordType::kAbort, txn, "", ""});
-    survey_backlog_.push_back({txn, ShardTxnStatus::kAborted, {}});
-    staged_.erase(it);
-  }
+  const TxnId txn = it->first;
+  wal_->append({WalRecordType::kAbort, txn, "", ""});
+  survey_backlog_.push_back({txn, ShardTxnStatus::kAborted, {}});
+  staged_.erase(it);
   locks_.unlock_all(txn);
 }
 
@@ -206,18 +321,13 @@ std::vector<TxnId> KvStore::in_doubt() const {
 const ShardSurvey& KvStore::survey() const {
   for (const auto& change : survey_backlog_) {
     if (change.status == ShardTxnStatus::kPrepared) {
-      survey_.prepared(change.txn, change.participants);
+      survey_.txns[change.txn].prepared(change.participants);
     } else {
       survey_.txns[change.txn].status = change.status;
     }
   }
   survey_backlog_.clear();
   return survey_;
-}
-
-bool KvStore::is_in_doubt(TxnId txn) const {
-  const auto it = staged_.find(txn);
-  return it != staged_.end() && it->second.prepared;
 }
 
 void KvStore::set_fault_hook(WalFaultHook* hook) {
@@ -240,7 +350,7 @@ const WalStats& KvStore::wal_stats() const { return wal_->stats(); }
 
 void KvStore::seal_batch(int64_t batch_id, const std::vector<TxnId>& members) {
   wal_->append({WalRecordType::kBatchSeal, batch_id, "", encode_txn_list(members)});
-  merge_sorted(survey_.seals[batch_id], members);
+  survey_.sealed(batch_id, members);
 }
 
 void KvStore::checkpoint() {
@@ -255,40 +365,40 @@ void KvStore::checkpoint() {
   const fs::path live_path = wal_->path();
   const fs::path tmp_path = live_path.string() + ".compact";
   fs::remove(tmp_path);
-  {
-    WriteAheadLog fresh(tmp_path);
-    fresh.set_fault_hook(fault_hook_);
-    // One group, one flush: the file is invisible until the rename below.
-    fresh.begin_group(kSingleFlushGroup);
-    for (const Entry* entry : sorted_entries()) {
-      fresh.append({WalRecordType::kSnapshot, 0, entry->first, entry->second});
-    }
-    // Carry pending (prepared, undecided) transactions forward so recovery
-    // still surfaces them as in-doubt, participant lists included.
-    for (const auto& [txn, staged] : staged_) {
-      fresh.append({WalRecordType::kBegin, txn, "", ""});
-      for (const auto& write : staged.writes) {
-        fresh.append({WalRecordType::kWrite, txn, write.key, write.value});
-      }
-      if (staged.prepared) {
-        fresh.append({WalRecordType::kPrepared, txn, "",
-                      encode_participant_list(staged.participants)});
-      }
-    }
-    fresh.end_group();
+  auto fresh = std::make_unique<WriteAheadLog>(tmp_path);
+  fresh->set_fault_hook(fault_hook_);
+  // One group, one flush: the file is invisible until the rename below.
+  fresh->begin_group(kSingleFlushGroup);
+  for (const Entry* entry : sorted_entries()) {
+    fresh->append({WalRecordType::kSnapshot, 0, entry->first, entry->second});
   }
+  // Carry pending (prepared, undecided) transactions forward so recovery
+  // still surfaces them as in-doubt, participant lists included.
+  for (const auto& [txn, staged] : staged_) {
+    fresh->append({WalRecordType::kBegin, txn, "", ""});
+    for (const auto& write : staged.writes) {
+      fresh->append({WalRecordType::kWrite, txn, write.key, write.value});
+    }
+    if (staged.prepared) {
+      fresh->append({WalRecordType::kPrepared, txn, "",
+                     encode_participant_list(staged.participants)});
+    }
+  }
+  fresh->end_group();
   // The survey the compacted log replays to: its staged transactions only.
   survey_ = {};
   survey_backlog_.clear();
   for (const auto& [txn, staged] : staged_) {
-    survey_.txns[txn].status = ShardTxnStatus::kStagedOnly;
-    if (staged.prepared) survey_.prepared(txn, staged.participants);
+    ShardSurvey::Txn& entry = survey_.txns[txn];
+    entry.status = ShardTxnStatus::kStagedOnly;
+    if (staged.prepared) entry.prepared(staged.participants);
   }
-  // The rename is the commit point of the compaction.
+  // The rename is the commit point of the compaction. The handle that wrote
+  // the compacted log keeps appending to it under the live name, so nothing
+  // re-reads what was just written.
   wal_.reset();  // release the append handle to the old log
-  fs::rename(tmp_path, live_path);
-  wal_ = std::make_unique<WriteAheadLog>(live_path);
-  wal_->set_fault_hook(fault_hook_);
+  fresh->replace(live_path);
+  wal_ = std::move(fresh);
   if (group_was_open) wal_->begin_group(group_limits_);
 }
 

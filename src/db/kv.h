@@ -9,7 +9,11 @@
 // Opening a store reads and decodes its log once: the same pass that finds
 // the valid tail rebuilds the committed state, the staged transactions and
 // the store's ShardSurvey, the per-transaction index RecoveryManager
-// classifies in-doubt transactions from.
+// classifies in-doubt transactions from. The indexes are sized from the
+// log's frame counts before the pass, and a transaction's contiguous run of
+// records (BEGIN, WRITEs, PREPARED and, in a serial log, COMMIT) is folded
+// through one cursor: one survey lookup, one staging lookup, and its writes
+// held as views into the log until they are installed or parked.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +21,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -47,6 +52,13 @@ struct ShardSurvey {
     /// Union of the participant lists of the txn's PREPARED records, sorted.
     std::vector<int32_t> participants;
 
+    /// Folds in a BEGIN or WRITE record.
+    void staged() {
+      if (status == ShardTxnStatus::kUnknown) status = ShardTxnStatus::kStagedOnly;
+    }
+    /// Folds in a PREPARED record carrying `list`.
+    void prepared(const std::vector<int32_t>& list);
+
     bool operator==(const Txn&) const = default;
   };
 
@@ -58,9 +70,9 @@ struct ShardSurvey {
   std::map<int64_t, std::vector<TxnId>> seals;
 
   /// Folds one record in, in log order.
-  void add(const WalRecord& record);
-  /// Folds in a PREPARED record carrying `participants`.
-  void prepared(TxnId txn, const std::vector<int32_t>& participants);
+  void add(const WalRecordView& record);
+  /// Folds in a kBatchSeal record's member list.
+  void sealed(int64_t batch_id, const std::vector<TxnId>& members);
 
   bool operator==(const ShardSurvey&) const = default;
 };
@@ -89,6 +101,10 @@ class KvStore {
   /// prepared (making a global abort idempotent per shard).
   void abort(TxnId txn);
 
+  /// Applies recovery's `decision` to `txn` if it is prepared and undecided
+  /// here, with one lookup; returns whether it was. Otherwise a no-op.
+  bool resolve(TxnId txn, Decision decision);
+
   [[nodiscard]] std::optional<std::string> get(const std::string& key) const;
   [[nodiscard]] size_t size() const { return data_.size(); }
 
@@ -101,8 +117,6 @@ class KvStore {
   /// Transactions recovered from the WAL as prepared-but-undecided. The
   /// owner must resolve each with commit() or abort().
   [[nodiscard]] std::vector<TxnId> in_doubt() const;
-  /// Whether `txn` is prepared and undecided here (one lookup).
-  [[nodiscard]] bool is_in_doubt(TxnId txn) const;
 
   /// The store's survey: built while the log was replayed at open and kept
   /// current by every append since, so it equals what replaying the log
@@ -163,15 +177,34 @@ class KvStore {
     std::vector<int32_t> participants;  ///< kPrepared only
   };
 
+  using StagedMap = std::map<TxnId, Staged>;
   using Entry = std::pair<const std::string, std::string>;
+  /// std::hash over string views, so the committed state can be looked up
+  /// by a view into a replayed log without building a key string. Not
+  /// noexcept, like std::hash<std::string>: libstdc++ then caches each key's
+  /// hash in its node, so a rehash or a bucket walk never rehashes a key.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
 
-  /// Folds one replayed record into the store's state and survey.
-  void replay(WalRecord&& record);
+  /// Folds every intact record of `image` into the store's state and survey;
+  /// returns where the intact prefix ends.
+  size_t replay(const WalImage& image);
+  /// commit() and abort() once `it` is found: the outcome record, then the
+  /// in-memory change, then the locks.
+  void commit_staged(StagedMap::iterator it);
+  void abort_staged(StagedMap::iterator it);
   /// Installs a committed transaction's writes, moving them out of `staged`
   /// (whose entry the caller erases next).
   void apply(Staged&& staged);
   /// Sets `key` to `value` in the committed state: one hashed lookup.
   void install(std::string&& key, std::string&& value);
+  /// install() from views (replay): an existing key's value is assigned in
+  /// place, so only a new key allocates.
+  void install(std::string_view key, std::string_view value);
   /// Every committed entry, in key order.
   const std::vector<const Entry*>& sorted_entries() const;
 
@@ -180,14 +213,14 @@ class KvStore {
   LockManager locks_;
   /// The committed state. Hashed, so commit, replay and get() each do one
   /// lookup; nothing iterates it.
-  std::unordered_map<std::string, std::string> data_;
+  std::unordered_map<std::string, std::string, KeyHash, std::equal_to<>> data_;
   /// data_'s entries for the readers that need key order (checkpoint() and
   /// snapshot()). The first `sorted_prefix_` are in key order; keys inserted
   /// since are appended and merged in lazily by sorted_entries(). Node
   /// pointers survive rehashing, and the store never erases a key.
   mutable std::vector<const Entry*> key_order_;
   mutable size_t sorted_prefix_ = 0;
-  std::map<TxnId, Staged> staged_;
+  StagedMap staged_;
   mutable ShardSurvey survey_;
   mutable std::vector<SurveyChange> survey_backlog_;
   WalFaultHook* fault_hook_ = nullptr;

@@ -24,11 +24,34 @@ MultiShotDb::MultiShotDb(Options options) : options_(std::move(options)) {
     }
     engines_.push_back(std::move(engine));
   }
+  // Resume every origin's sequence past the largest id of that origin the
+  // opened logs hold, transactions and seals alike: an id already in a WAL
+  // is never allocated again, or a staged-only leftover under it would merge
+  // into the new instance at the next replay.
+  std::vector<int64_t> last_sequence(engines_.size(), 0);
+  const auto saw = [&](TxnId id) {
+    const int32_t origin = txn_origin(id);
+    if (origin < 0 || origin >= options_.shard_count) return;
+    int64_t& last = last_sequence[static_cast<size_t>(origin)];
+    last = std::max(last, txn_sequence(id));
+  };
+  for (const auto& engine : engines_) {
+    const ShardSurvey& survey = engine->store->survey();
+    for (const auto& [txn, entry] : survey.txns) saw(txn);
+    for (const auto& [batch, members] : survey.seals) {
+      saw(batch);
+      for (const TxnId member : members) saw(member);
+    }
+  }
+  for (size_t i = 0; i < engines_.size(); ++i) {
+    engines_[i]->next_sequence = last_sequence[i] + 1;
+  }
 }
 
 TxnId MultiShotDb::allocate_txn_id(int32_t origin_shard) {
   RCOMMIT_CHECK(origin_shard >= 0 && origin_shard < options_.shard_count);
-  // A crashed or aborted attempt burns its sequence number: ids are
+  // A crashed or aborted attempt burns its sequence number, and an engine
+  // reopened over existing logs resumes past their ids: ids are
   // allocate-once, never reused, so recovery can treat every id it sees in a
   // WAL as naming exactly one instance.
   const int64_t sequence =

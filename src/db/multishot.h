@@ -95,7 +95,8 @@ inline constexpr int64_t kTxnSequenceMask = (int64_t{1} << kTxnSequenceBits) - 1
 
 /// Composes an instance id from (originating shard, shard-local sequence).
 /// Sequence 0 is reserved (it collides with legacy single-shot ids at origin
-/// 0); engines allocate from 1.
+/// 0); engines allocate from 1, or from past the largest id of the origin
+/// in the logs they open.
 [[nodiscard]] constexpr TxnId make_txn_id(int32_t origin_shard, int64_t sequence) {
   return (static_cast<int64_t>(origin_shard) << kTxnSequenceBits) |
          (sequence & kTxnSequenceMask);

@@ -59,8 +59,9 @@ BatchSurvey RecoveryManager::survey_all() const {
   std::vector<ShardSurvey> read(shards_.size());
   std::vector<const ShardSurvey*> views;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    scan_wal(shards_[i]->wal().path(),
-             [&survey = read[i]](WalRecord&& record) { survey.add(record); });
+    WalImage(shards_[i]->wal().path()).decode([&survey = read[i]](const WalRecordView& record) {
+      survey.add(record);
+    });
     views.push_back(&read[i]);
   }
   return merge(views);
@@ -182,13 +183,7 @@ void RecoveryManager::apply_decision(TxnId txn, Decision decision,
                                      RecoveryReport& report) {
   // Apply to every shard still holding the transaction in doubt.
   for (int32_t shard : prepared_shards) {
-    auto& store = *shards_[static_cast<size_t>(shard)];
-    if (!store.is_in_doubt(txn)) continue;
-    if (decision == Decision::kCommit) {
-      store.commit(txn);
-    } else {
-      store.abort(txn);
-    }
+    (void)shards_[static_cast<size_t>(shard)]->resolve(txn, decision);
   }
   (decision == Decision::kCommit ? report.resolved_commit : report.resolved_abort) += 1;
 }

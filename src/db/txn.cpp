@@ -2,7 +2,7 @@
 
 #include "adversary/basic.h"
 #include "protocol/commit.h"
-#include "sim/simulator.h"
+#include "sim/batch.h"
 
 namespace rcommit::db {
 
@@ -28,13 +28,18 @@ std::vector<std::unique_ptr<sim::Process>> make_commit_fleet(int32_t n) {
 }
 
 std::vector<std::optional<Decision>> run_simulated_round(int32_t n, uint64_t seed) {
-  sim::SimConfig config;
-  config.seed = seed;
-  config.max_events = kRoundMaxEvents;
-  config.record_trace = false;
-  sim::Simulator simulator(config, make_commit_fleet(n),
-                           adversary::make_on_time_adversary());
-  return simulator.run().decisions;
+  // One warm engine and payload pool per calling thread: a round re-arms the
+  // storage of the thread's previous round instead of building a simulator,
+  // with byte-identical results (batch_equivalence_test). BatchRunner is not
+  // thread-safe, hence one per thread, as the swarm workers keep theirs.
+  thread_local sim::BatchRunner runner;
+  return runner
+      .run({.seed = seed,
+            .max_events = kRoundMaxEvents,
+            .record_trace = false,
+            .pool_payloads = true},
+           make_commit_fleet(n), adversary::make_on_time_adversary())
+      .decisions;
 }
 
 }  // namespace rcommit::db

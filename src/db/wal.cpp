@@ -10,26 +10,6 @@ namespace rcommit::db {
 
 namespace {
 
-WalRecord decode_record(std::span<const uint8_t> body) {
-  BufReader r(body);
-  WalRecord record;
-  const uint8_t raw_type = r.u8();
-  // An unchecked enum cast would let a type byte outside WalRecordType sail
-  // through recovery's switches unmatched — silently dropping a record whose
-  // CRC said it was intact. Reject it instead: replay stops here and trusts
-  // nothing after (same policy as a CRC mismatch).
-  if (raw_type < static_cast<uint8_t>(WalRecordType::kBegin) ||
-      raw_type > static_cast<uint8_t>(WalRecordType::kBatchSeal)) {
-    throw CodecError("unknown WAL record type " + std::to_string(raw_type));
-  }
-  record.type = static_cast<WalRecordType>(raw_type);
-  record.txn_id = r.svarint();
-  record.key = r.str();
-  record.value = r.str();
-  if (!r.exhausted()) throw CodecError("trailing bytes in WAL record");
-  return record;
-}
-
 /// Comma-separated decimal, as the list codecs below write it.
 template <typename T>
 std::string encode_id_list(const std::vector<T>& ids) {
@@ -45,9 +25,9 @@ std::string encode_id_list(const std::vector<T>& ids) {
 /// empty part, anything but digits, or a value above T's maximum fails the
 /// check, naming the list as `what`.
 template <typename T>
-std::vector<T> decode_id_list(const std::string& text, const char* what) {
-  std::vector<T> ids;
-  if (text.empty()) return ids;
+void decode_id_list(std::string_view text, const char* what, std::vector<T>& ids) {
+  ids.clear();
+  if (text.empty()) return;
   ids.reserve(static_cast<size_t>(std::count(text.begin(), text.end(), ',')) + 1);
   const char* const end = text.data() + text.size();
   const char* part = text.data();
@@ -59,58 +39,69 @@ std::vector<T> decode_id_list(const std::string& text, const char* what) {
                           error == std::errc{} && (next == end || *next == ','),
                       "malformed " << what << ": '" << text << "'");
     ids.push_back(id);
-    if (next == end) return ids;
+    if (next == end) return;
     part = next + 1;  // past the comma
   }
 }
 
 }  // namespace
 
-size_t scan_wal(const std::filesystem::path& path, const WalVisitor& visit) {
+WalImage::WalImage(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   const std::streamoff size = in.is_open() ? static_cast<std::streamoff>(in.tellg()) : -1;
-  if (size <= 0) return 0;
-  std::vector<uint8_t> file_bytes(static_cast<size_t>(size));
+  if (size <= 0) return;
+  bytes_.resize(static_cast<size_t>(size));
   in.seekg(0);
-  in.read(reinterpret_cast<char*>(file_bytes.data()),
-          static_cast<std::streamsize>(file_bytes.size()));
-  file_bytes.resize(static_cast<size_t>(in.gcount()));
+  in.read(reinterpret_cast<char*>(bytes_.data()), static_cast<std::streamsize>(bytes_.size()));
+  bytes_.resize(static_cast<size_t>(in.gcount()));
 
-  size_t valid_end = 0;
-  while (valid_end + 8 <= file_bytes.size()) {
-    BufReader header(std::span<const uint8_t>(file_bytes.data() + valid_end, 8));
-    const uint32_t length = header.u32();
-    const uint32_t crc = header.u32();
-    if (length > file_bytes.size() - valid_end - 8) break;  // torn final record
-    const std::span<const uint8_t> body(file_bytes.data() + valid_end + 8, length);
-    if (crc32c(body) != crc) break;  // corrupt record: trust nothing after it
-    WalRecord record;
-    try {
-      record = decode_record(body);
-    } catch (const CodecError&) {
-      break;  // structurally invalid despite matching CRC — stop here
-    }
-    if (visit) visit(std::move(record));
-    valid_end += 8 + length;
+  // Header walk: each frame's length and type byte only. A frame that the
+  // decode later rejects is still counted, so the counts are upper bounds.
+  const std::span<const uint8_t> bytes(bytes_);
+  for (size_t at = 0; bytes.size() - at > 8;) {
+    const uint32_t length = BufReader(bytes.subspan(at, 4)).u32();
+    if (length == 0 || length > bytes.size() - at - 8) break;
+    const uint8_t type = bytes[at + 8];
+    if (type < frames_.size()) ++frames_[type];
+    at += 8 + length;
   }
-  return valid_end;
+}
+
+size_t scan_wal(const std::filesystem::path& path, const WalVisitor& visit) {
+  return WalImage(path).decode([&visit](const WalRecordView& record) {
+    if (visit) {
+      visit(WalRecord{record.type, record.txn_id, std::string(record.key),
+                      std::string(record.value)});
+    }
+  });
 }
 
 std::string encode_participant_list(const std::vector<int32_t>& ids) {
   return encode_id_list(ids);
 }
 
-std::vector<int32_t> decode_participant_list(const std::string& text) {
-  return decode_id_list<int32_t>(text, "participant list");
+std::vector<int32_t> decode_participant_list(std::string_view text) {
+  std::vector<int32_t> ids;
+  decode_participant_list(text, ids);
+  return ids;
+}
+
+void decode_participant_list(std::string_view text, std::vector<int32_t>& ids) {
+  decode_id_list<int32_t>(text, "participant list", ids);
 }
 
 std::string encode_txn_list(const std::vector<int64_t>& ids) { return encode_id_list(ids); }
 
-std::vector<int64_t> decode_txn_list(const std::string& text) {
-  return decode_id_list<int64_t>(text, "txn list");
+std::vector<int64_t> decode_txn_list(std::string_view text) {
+  std::vector<int64_t> ids;
+  decode_id_list<int64_t>(text, "txn list", ids);
+  return ids;
 }
 
-WriteAheadLog::WriteAheadLog(std::filesystem::path path, const WalVisitor& visit)
+WriteAheadLog::WriteAheadLog(std::filesystem::path path)
+    : WriteAheadLog(path, WalImage(path).decode([](const WalRecordView&) {})) {}
+
+WriteAheadLog::WriteAheadLog(std::filesystem::path path, size_t valid_end)
     : path_(std::move(path)) {
   // Replay stops at the first torn/corrupt frame and trusts nothing after it
   // — so anything appended after such a frame would be unreachable forever.
@@ -119,10 +110,7 @@ WriteAheadLog::WriteAheadLog(std::filesystem::path path, const WalVisitor& visit
   // record landing after a torn frame, lost on the next open.)
   std::error_code ec;
   const auto size = std::filesystem::file_size(path_, ec);
-  if (!ec && size > 0) {
-    const size_t valid_end = scan_wal(path_, visit);
-    if (valid_end < size) std::filesystem::resize_file(path_, valid_end);
-  }
+  if (!ec && size > valid_end) std::filesystem::resize_file(path_, valid_end);
   out_.open(path_, std::ios::binary | std::ios::app);
   RCOMMIT_CHECK_MSG(out_.is_open(), "cannot open WAL at " << path_.string());
 }
@@ -234,6 +222,13 @@ void WriteAheadLog::flush_pending() {
     }
   } clear_pending{*this};
   write_frame(std::span<const uint8_t>(pending_.data()));
+}
+
+void WriteAheadLog::replace(const std::filesystem::path& target) {
+  RCOMMIT_CHECK_MSG(!group_open_, "replace with a group open");
+  std::filesystem::rename(path_, target);
+  path_ = target;
+  stats_ = {};
 }
 
 std::vector<WalRecord> WriteAheadLog::replay() const {

@@ -21,6 +21,7 @@
 // frame that was going to be written anyway.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -29,6 +30,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/codec.h"
@@ -101,15 +103,49 @@ class WalFaultHook {
                                    std::span<const uint8_t> frame) = 0;
 };
 
+/// One record decoded in place: `key` and `value` point into the bytes it
+/// was decoded from and are valid only as long as those are.
+struct WalRecordView {
+  WalRecordType type = WalRecordType::kBegin;
+  int64_t txn_id = 0;
+  std::string_view key;
+  std::string_view value;
+};
+
+/// A log file read into memory with one bulk read. Construction also walks
+/// the frame headers (no CRC, no decode) and counts the frames of each type,
+/// so a reader can size its indexes before it folds the records in.
+class WalImage {
+ public:
+  /// Reads the log at `path`; a missing or empty file is an empty image.
+  explicit WalImage(const std::filesystem::path& path);
+
+  /// Frames of `type` the headers name: an upper bound on the intact ones,
+  /// since the count comes before any CRC check or decode.
+  [[nodiscard]] int64_t frames(WalRecordType type) const {
+    return frames_[static_cast<size_t>(type)];
+  }
+
+  /// Decodes every intact frame in file order and hands it to `visit` as a
+  /// WalRecordView into this image, stopping (without throwing) at the first
+  /// torn or corrupt frame: everything before it is trustworthy, everything
+  /// after is garbage from an interrupted append. A frame whose CRC matches
+  /// but whose body does not decode, or whose type byte is outside
+  /// WalRecordType, is treated the same way. Returns the byte offset where
+  /// trust ends (0 for an empty image).
+  template <typename Visit>
+  size_t decode(Visit&& visit) const;
+
+ private:
+  std::vector<uint8_t> bytes_;
+  std::array<int64_t, 8> frames_{};  ///< indexed by type byte
+};
+
 /// Receives each intact record of a log, in file order.
 using WalVisitor = std::function<void(WalRecord&&)>;
 
-/// Reads the log at `path` with one bulk read and hands every intact record
-/// to `visit`, stopping (without throwing) at the first torn or corrupt
-/// frame: everything before it is trustworthy, everything after is garbage
-/// from an interrupted append. A frame whose CRC matches but whose type byte
-/// is outside WalRecordType is treated the same way. Returns the byte offset
-/// where trust ends (0 for a missing or empty file).
+/// Reads the log at `path` (WalImage) and hands every intact record to
+/// `visit` as an owning WalRecord. Returns the byte offset where trust ends.
 size_t scan_wal(const std::filesystem::path& path, const WalVisitor& visit);
 
 /// Encodes a participant shard list into the kPrepared record's value field
@@ -121,7 +157,9 @@ size_t scan_wal(const std::filesystem::path& path, const WalVisitor& visit);
 /// CheckFailure on malformed input: an empty part, a non-digit or a value
 /// above INT32_MAX (the record's CRC already passed, so a parse failure here
 /// is a logic bug, not corruption).
-[[nodiscard]] std::vector<int32_t> decode_participant_list(const std::string& text);
+[[nodiscard]] std::vector<int32_t> decode_participant_list(std::string_view text);
+/// decode_participant_list into `ids`, reusing its capacity.
+void decode_participant_list(std::string_view text, std::vector<int32_t>& ids);
 
 /// Encodes a kBatchSeal member list (64-bit instance ids, comma-separated
 /// decimal) into the record's value field. Same format family as the
@@ -130,7 +168,7 @@ size_t scan_wal(const std::filesystem::path& path, const WalVisitor& visit);
 /// Inverse of encode_txn_list; "" decodes to the empty list. Throws
 /// CheckFailure on malformed input, as decode_participant_list does, with
 /// INT64_MAX as the bound.
-[[nodiscard]] std::vector<int64_t> decode_txn_list(const std::string& text);
+[[nodiscard]] std::vector<int64_t> decode_txn_list(std::string_view text);
 
 /// Monotonic WAL counters. `records_appended` counts logical appends
 /// (buffered appends included); `flushes` counts physical write+flush calls,
@@ -164,10 +202,13 @@ inline constexpr WalGroupLimits kSingleFlushGroup{
 
 class WriteAheadLog {
  public:
-  /// Opens (creating if absent) the log at `path` for appending. The scan
-  /// that finds the valid tail hands each intact record to `visit`, so an
-  /// owner rebuilding its state from the log decodes it only once.
-  explicit WriteAheadLog(std::filesystem::path path, const WalVisitor& visit = {});
+  /// Opens (creating if absent) the log at `path` for appending, after a
+  /// scan that finds where its intact prefix ends.
+  explicit WriteAheadLog(std::filesystem::path path);
+  /// Opens the log at `path` for appending when the caller has already
+  /// decoded it: `valid_end` is WalImage::decode's result for the file as it
+  /// is now. An owner rebuilding its state from the log so decodes it once.
+  WriteAheadLog(std::filesystem::path path, size_t valid_end);
 
   /// Appends one record, framed and checksummed into the pending buffer.
   /// Outside group mode that one-frame group is written and flushed
@@ -207,6 +248,12 @@ class WriteAheadLog {
   /// Installs (or clears, with nullptr) the per-append fault hook. Non-owning.
   void set_fault_hook(WalFaultHook* hook) { fault_hook_ = hook; }
 
+  /// Atomically replaces the log at `target` with this one (a rename) and
+  /// keeps appending to it there: path(), which the fault hook is shown,
+  /// becomes `target`, and stats() restart at zero, as a freshly opened
+  /// log's would. Not in group mode.
+  void replace(const std::filesystem::path& target);
+
   [[nodiscard]] const std::filesystem::path& path() const { return path_; }
   [[nodiscard]] int64_t records_appended() const {
     return stats_.records_appended;
@@ -231,5 +278,58 @@ class WriteAheadLog {
   BufWriter pending_;
   int64_t pending_records_ = 0;
 };
+
+// --- WalImage::decode ----------------------------------------------------------
+//
+// A template so the caller's fold inlines into the frame loop: no
+// std::function hop, no owning copy of a record it does not keep.
+
+namespace wal_detail {
+
+/// Decodes one frame body in place; throws CodecError if it is malformed.
+inline WalRecordView decode_body(std::span<const uint8_t> body) {
+  BufReader r(body);
+  const uint8_t raw_type = r.u8();
+  // An unchecked enum cast would let a type byte outside WalRecordType sail
+  // through recovery's switches unmatched — silently dropping a record whose
+  // CRC said it was intact. Reject it instead: replay stops here and trusts
+  // nothing after (same policy as a CRC mismatch).
+  if (raw_type < static_cast<uint8_t>(WalRecordType::kBegin) ||
+      raw_type > static_cast<uint8_t>(WalRecordType::kBatchSeal)) {
+    throw_codec_error("unknown WAL record type");
+  }
+  WalRecordView record;
+  record.type = static_cast<WalRecordType>(raw_type);
+  record.txn_id = r.svarint();
+  record.key = r.str_view();
+  record.value = r.str_view();
+  if (!r.exhausted()) throw_codec_error("trailing bytes in WAL record");
+  return record;
+}
+
+}  // namespace wal_detail
+
+template <typename Visit>
+size_t WalImage::decode(Visit&& visit) const {
+  const std::span<const uint8_t> bytes(bytes_);
+  size_t valid_end = 0;
+  while (bytes.size() - valid_end >= 8) {
+    BufReader header(bytes.subspan(valid_end, 8));
+    const uint32_t length = header.u32();
+    const uint32_t crc = header.u32();
+    if (length > bytes.size() - valid_end - 8) break;  // torn final record
+    const auto body = bytes.subspan(valid_end + 8, length);
+    if (crc32c(body) != crc) break;  // corrupt record: trust nothing after it
+    WalRecordView record;
+    try {
+      record = wal_detail::decode_body(body);
+    } catch (const CodecError&) {
+      break;  // structurally invalid despite matching CRC — stop here
+    }
+    visit(record);
+    valid_end += 8 + length;
+  }
+  return valid_end;
+}
 
 }  // namespace rcommit::db

@@ -207,6 +207,70 @@ TEST(Codec, TruncatedStringThrows) {
   EXPECT_THROW(r.str(), CodecError);
 }
 
+/// The message of the CodecError `read` throws on `data`.
+template <typename Read>
+std::string codec_error_of(const std::vector<uint8_t>& data, Read read) {
+  BufReader r(data);
+  try {
+    read(r);
+  } catch (const CodecError& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(Codec, TruncatedFixedWidthReadsNameWhatWasMissing) {
+  // One bounds check per read, taken before anything is consumed: the
+  // message names the whole width and what was left.
+  EXPECT_EQ(codec_error_of({}, [](BufReader& r) { r.u8(); }),
+            "truncated buffer: need 1 bytes, have 0");
+  EXPECT_EQ(codec_error_of({0x01}, [](BufReader& r) { r.u16(); }),
+            "truncated buffer: need 2 bytes, have 1");
+  EXPECT_EQ(codec_error_of({1, 2, 3}, [](BufReader& r) { r.u32(); }),
+            "truncated buffer: need 4 bytes, have 3");
+  EXPECT_EQ(codec_error_of({1, 2, 3, 4, 5, 6, 7}, [](BufReader& r) { r.u64(); }),
+            "truncated buffer: need 8 bytes, have 7");
+  // A failed read leaves the position alone: the bytes are still there.
+  const std::vector<uint8_t> three = {0xaa, 0xbb, 0xcc};
+  BufReader r(three);
+  EXPECT_THROW(r.u32(), CodecError);
+  EXPECT_EQ(r.remaining(), 3u);
+  EXPECT_EQ(r.u16(), 0xbbaa);
+}
+
+TEST(Codec, TruncatedBytesAndStringsNameTheirLength) {
+  BufWriter w;
+  w.varint(5);  // claims 5 bytes follow
+  w.u8('a');
+  w.u8('b');
+  EXPECT_EQ(codec_error_of(w.data(), [](BufReader& r) { r.bytes(); }),
+            "truncated buffer: need 5 bytes, have 2");
+  EXPECT_EQ(codec_error_of(w.data(), [](BufReader& r) { r.str(); }),
+            "truncated buffer: need 5 bytes, have 2");
+  EXPECT_EQ(codec_error_of(w.data(), [](BufReader& r) { r.str_view(); }),
+            "truncated buffer: need 5 bytes, have 2");
+  // A length near 2^64 must not wrap the bounds check around.
+  BufWriter huge;
+  huge.varint(~uint64_t{0});
+  EXPECT_EQ(codec_error_of(huge.data(), [](BufReader& r) { r.bytes(); }),
+            "truncated buffer: need 18446744073709551615 bytes, have 0");
+  // A varint cut short is a truncated u8.
+  EXPECT_EQ(codec_error_of({0x80, 0x80}, [](BufReader& r) { r.varint(); }),
+            "truncated buffer: need 1 bytes, have 0");
+}
+
+TEST(Codec, StrViewPointsIntoTheBuffer) {
+  BufWriter w;
+  w.str("key:42");
+  w.str("");
+  BufReader r(w.data());
+  const std::string_view view = r.str_view();
+  EXPECT_EQ(view, "key:42");
+  EXPECT_EQ(reinterpret_cast<const uint8_t*>(view.data()), w.data().data() + 1);
+  EXPECT_EQ(r.str_view(), "");
+  EXPECT_TRUE(r.exhausted());
+}
+
 TEST(Codec, PatchU32OverwritesInPlaceAndClearKeepsCapacity) {
   BufWriter w;
   w.u8(0xaa);

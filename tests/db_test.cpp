@@ -16,6 +16,7 @@
 #include "db/kv.h"
 #include "db/locks.h"
 #include "db/multishot.h"
+#include "db/recovery.h"
 #include "db/wal.h"
 
 namespace rcommit::db {
@@ -94,6 +95,43 @@ TEST(Wal, AppendReplayRoundTrip) {
   EXPECT_EQ(records[1].key, "alpha");
   EXPECT_EQ(records[1].value, "1");
   EXPECT_EQ(records[3].type, WalRecordType::kCommit);
+}
+
+TEST(Wal, ImageCountsFramesByTypeAndDecodesInPlace) {
+  // The header walk counts every framed record by its type byte, a
+  // CRC-corrupt one included (the counts only size indexes); decode stops
+  // at the corrupt frame and hands out views into the image.
+  TempDir dir;
+  const auto wal_path = dir.path() / "wal.log";
+  std::vector<uint8_t> bytes = frames_of({{WalRecordType::kBegin, 1, "", ""},
+                                          {WalRecordType::kWrite, 1, "k", "v"},
+                                          {WalRecordType::kWrite, 1, "k2", "v2"},
+                                          {WalRecordType::kPrepared, 1, "", "0"}});
+  const size_t intact = bytes.size();
+  std::vector<uint8_t> corrupt =
+      frame_bytes(static_cast<uint8_t>(WalRecordType::kCommit), 1);
+  corrupt.back() ^= 0x01;
+  bytes.insert(bytes.end(), corrupt.begin(), corrupt.end());
+  {
+    std::ofstream out(wal_path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+  const WalImage image(wal_path);
+  EXPECT_EQ(image.frames(WalRecordType::kBegin), 1);
+  EXPECT_EQ(image.frames(WalRecordType::kWrite), 2);
+  EXPECT_EQ(image.frames(WalRecordType::kPrepared), 1);
+  EXPECT_EQ(image.frames(WalRecordType::kCommit), 1);
+  EXPECT_EQ(image.frames(WalRecordType::kSnapshot), 0);
+  std::vector<std::pair<std::string, std::string>> writes;
+  EXPECT_EQ(image.decode([&](const WalRecordView& record) {
+              if (record.type == WalRecordType::kWrite) {
+                writes.emplace_back(record.key, record.value);
+              }
+            }),
+            intact);
+  EXPECT_EQ(writes, (std::vector<std::pair<std::string, std::string>>{{"k", "v"}, {"k2", "v2"}}));
+  EXPECT_EQ(WalImage(dir.path() / "missing.log").decode([](const WalRecordView&) {}), 0u);
 }
 
 TEST(Wal, ReplayEmptyLog) {
@@ -669,6 +707,53 @@ TEST(Kv, CheckpointFlushesAndReopensGroup) {
   EXPECT_EQ(recovered.get("b"), "2");
 }
 
+/// Records the path of every on_append consult.
+class PathHook : public WalFaultHook {
+ public:
+  WalAppendFault on_append(const std::filesystem::path& wal_path,
+                           std::span<const uint8_t>) override {
+    paths.push_back(wal_path);
+    return {};
+  }
+
+  std::vector<fs::path> paths;
+};
+
+TEST(Kv, CheckpointKeepsAppendingThroughTheHandleThatWroteTheCompactedLog) {
+  // The compacted log is not re-read: the handle that wrote it appends on
+  // under the live name, so the fault hook sees the live path, the stats
+  // restart at zero, and a reopen round-trips state and survey.
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  PathHook hook;
+  KvStore store(wal_path);
+  store.set_fault_hook(&hook);
+  ASSERT_TRUE(store.prepare(1, {{"a", "1"}}, {0}));
+  store.commit(1);
+  ASSERT_TRUE(store.prepare(2, {{"b", "2"}}, {0, 1}));  // pending across it
+  store.checkpoint();
+  EXPECT_EQ(store.wal().path(), wal_path);
+  EXPECT_FALSE(fs::exists(wal_path.string() + ".compact"));
+  EXPECT_EQ(store.wal_stats().records_appended, 0);
+  EXPECT_EQ(store.wal_stats().flushes, 0);
+
+  hook.paths.clear();
+  ASSERT_TRUE(store.prepare(3, {{"c", "3"}}, {0}));
+  store.commit(3);
+  store.seal_batch(3, {3});
+  EXPECT_EQ(hook.paths, std::vector<fs::path>(5, wal_path));
+  EXPECT_EQ(store.wal_stats().records_appended, 5);
+
+  KvStore reopened(wal_path);
+  EXPECT_EQ(reopened.snapshot(), store.snapshot());
+  EXPECT_EQ(reopened.snapshot(),
+            (std::map<std::string, std::string>{{"a", "1"}, {"c", "3"}}));
+  EXPECT_EQ(reopened.in_doubt(), std::vector<TxnId>{2});
+  EXPECT_EQ(reopened.survey(), store.survey());
+  RecoveryManager manager({&store}, {});
+  EXPECT_EQ(manager.survey_live(), manager.survey_all());
+}
+
 // --- opening a damaged log ---------------------------------------------------------
 
 void append_bytes(const fs::path& path, const std::vector<uint8_t>& bytes) {
@@ -844,6 +929,297 @@ TEST(WalBytes, CheckpointWritesTheSortedSnapshotThenPendingTxns) {
   KvStore reopened(wal_path);
   reopened.checkpoint();
   EXPECT_EQ(read_file(wal_path), expected_bytes);
+}
+
+// --- the replay fold --------------------------------------------------------------
+//
+// Opening a store folds each transaction's contiguous run of records through
+// one cursor and parks a run that other transactions' records interrupt.
+// These logs are built by hand, frame by frame, so every shape the fold must
+// treat record for record is pinned: interleaved runs, a duplicated group,
+// an abort followed by a re-BEGIN of the same id, staged-only leftovers,
+// snapshots, seals and a torn tail.
+
+/// Writes `records` as a log at `path`, optionally followed by `tail` bytes.
+void write_log(const fs::path& path, const std::vector<WalRecord>& records,
+               const std::vector<uint8_t>& tail = {}) {
+  std::vector<uint8_t> bytes = frames_of(records);
+  bytes.insert(bytes.end(), tail.begin(), tail.end());
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+WalRecord begin_of(TxnId txn) { return {WalRecordType::kBegin, txn, "", ""}; }
+WalRecord write_of(TxnId txn, std::string key, std::string value) {
+  return {WalRecordType::kWrite, txn, std::move(key), std::move(value)};
+}
+WalRecord prepared_of(TxnId txn, std::string participants) {
+  return {WalRecordType::kPrepared, txn, "", std::move(participants)};
+}
+WalRecord commit_of(TxnId txn) { return {WalRecordType::kCommit, txn, "", ""}; }
+WalRecord abort_of(TxnId txn) { return {WalRecordType::kAbort, txn, "", ""}; }
+WalRecord snapshot_of(std::string key, std::string value) {
+  return {WalRecordType::kSnapshot, 0, std::move(key), std::move(value)};
+}
+WalRecord seal_of(int64_t batch, std::string members) {
+  return {WalRecordType::kBatchSeal, batch, "", std::move(members)};
+}
+
+/// The store's survey() equals the from-disk survey_all() view of its log.
+void expect_survey_matches_disk(KvStore& store) {
+  RecoveryManager manager({&store}, {});
+  EXPECT_EQ(manager.survey_live(), manager.survey_all());
+}
+
+ShardSurvey::Txn survey_txn(ShardTxnStatus status, std::vector<int32_t> participants = {}) {
+  return {status, std::move(participants)};
+}
+
+TEST(KvReplay, InterleavedPipelinedRunsFoldRecordForRecord) {
+  // A pipelined batch: every member's prepare run, then the outcomes, with
+  // one member's writes split around another's and a snapshot in between.
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  write_log(wal_path, {snapshot_of("a", "0"), snapshot_of("z", "0"),
+                       begin_of(1), write_of(1, "a", "1"), write_of(1, "b", "1"),
+                       prepared_of(1, "0,1"),
+                       begin_of(2), write_of(2, "c", "2"),
+                       begin_of(3), write_of(3, "d", "3"),
+                       write_of(2, "e", "2"), prepared_of(2, "2,0"),
+                       prepared_of(3, "0"),
+                       commit_of(1), abort_of(2),
+                       begin_of(4), write_of(4, "a", "4"), prepared_of(4, "0"),
+                       commit_of(4), snapshot_of("z", "snap"),
+                       begin_of(5), write_of(5, "f", "5"), prepared_of(5, "0,3")});
+  KvStore store(wal_path);
+  EXPECT_EQ(store.snapshot(), (std::map<std::string, std::string>{
+                                  {"a", "4"}, {"b", "1"}, {"z", "snap"}}));
+  EXPECT_EQ(store.in_doubt(), (std::vector<TxnId>{3, 5}));
+  EXPECT_EQ(store.locks().holder("d"), std::optional<TxnId>(3));
+  EXPECT_EQ(store.locks().holder("f"), std::optional<TxnId>(5));
+  EXPECT_EQ(store.locks().locked_count(), 2u);
+  EXPECT_EQ(store.survey().txns,
+            (std::unordered_map<TxnId, ShardSurvey::Txn>{
+                {1, survey_txn(ShardTxnStatus::kCommitted, {0, 1})},
+                {2, survey_txn(ShardTxnStatus::kAborted, {0, 2})},
+                {3, survey_txn(ShardTxnStatus::kPrepared, {0})},
+                {4, survey_txn(ShardTxnStatus::kCommitted, {0})},
+                {5, survey_txn(ShardTxnStatus::kPrepared, {0, 3})}}));
+  expect_survey_matches_disk(store);
+  // The in-doubt writes were parked intact: committing installs them.
+  store.commit(3);
+  store.commit(5);
+  EXPECT_EQ(store.get("d"), "3");
+  EXPECT_EQ(store.get("f"), "5");
+}
+
+TEST(KvReplay, DuplicatedGroupStagesItsWritesTwiceAndInstallsOnce) {
+  // A kDuplicate fault writes a whole group twice: the BEGIN of the copy
+  // finds the transaction staged, its WRITEs stage again, and the commit
+  // installs the same values twice over.
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  const std::vector<WalRecord> group = {begin_of(7), write_of(7, "h", "7"),
+                                        write_of(7, "i", "7"), prepared_of(7, "0,1")};
+  std::vector<WalRecord> records = group;
+  records.insert(records.end(), group.begin(), group.end());
+  records.push_back(begin_of(8));
+  records.push_back(write_of(8, "j", "8"));
+  records.push_back(prepared_of(8, "0"));
+  records.push_back(commit_of(7));
+  records.push_back(commit_of(7));
+  write_log(wal_path, records);
+  KvStore store(wal_path);
+  EXPECT_EQ(store.snapshot(),
+            (std::map<std::string, std::string>{{"h", "7"}, {"i", "7"}}));
+  EXPECT_EQ(store.in_doubt(), std::vector<TxnId>{8});
+  EXPECT_EQ(store.survey().txns.at(7), survey_txn(ShardTxnStatus::kCommitted, {0, 1}));
+  EXPECT_EQ(store.survey().txns.at(8), survey_txn(ShardTxnStatus::kPrepared, {0}));
+  expect_survey_matches_disk(store);
+
+  // A duplicated prepare left in doubt holds each key once in the lock table.
+  write_log(wal_path, {group[0], group[1], group[2], group[3], group[0], group[1],
+                       group[2], group[3]});
+  KvStore doubled(wal_path);
+  EXPECT_EQ(doubled.in_doubt(), std::vector<TxnId>{7});
+  EXPECT_EQ(doubled.locks().locked_count(), 2u);
+  doubled.commit(7);
+  EXPECT_EQ(doubled.snapshot(),
+            (std::map<std::string, std::string>{{"h", "7"}, {"i", "7"}}));
+}
+
+TEST(KvReplay, AbortThenReBeginOfTheSameIdStartsAfresh) {
+  // An aborted id that BEGINs again stages from empty: the aborted write is
+  // gone, and the survey keeps folding the same entry (status from the
+  // latest record, participant lists merged).
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  write_log(wal_path, {begin_of(9), write_of(9, "old", "9"), prepared_of(9, "0,2"),
+                       abort_of(9),
+                       begin_of(9), write_of(9, "new", "9"), prepared_of(9, "0,1"),
+                       begin_of(10), write_of(10, "x", "10"), prepared_of(10, "0"),
+                       abort_of(10), begin_of(10), write_of(10, "y", "10")});
+  KvStore store(wal_path);
+  EXPECT_EQ(store.snapshot(), (std::map<std::string, std::string>{}));
+  EXPECT_EQ(store.in_doubt(), std::vector<TxnId>{9});
+  EXPECT_EQ(store.locks().holder("new"), std::optional<TxnId>(9));
+  EXPECT_EQ(store.locks().holder("old"), std::nullopt);
+  EXPECT_EQ(store.survey().txns.at(9), survey_txn(ShardTxnStatus::kPrepared, {0, 1, 2}));
+  // The re-BEGIN of an aborted id does not reset its status to staged-only.
+  EXPECT_EQ(store.survey().txns.at(10), survey_txn(ShardTxnStatus::kAborted, {0}));
+  expect_survey_matches_disk(store);
+  store.commit(9);
+  EXPECT_EQ(store.snapshot(), (std::map<std::string, std::string>{{"new", "9"}}));
+}
+
+TEST(KvReplay, StagedOnlyLeftoversMergeIntoALaterRunOfTheirIdOrDrop) {
+  // A transaction that never prepared is dropped at the end of the open. A
+  // later run of the same id, after other transactions' records, merges into
+  // what it staged, exactly as the per-record fold did.
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  write_log(wal_path, {begin_of(11), write_of(11, "l", "11"),
+                       begin_of(12), write_of(12, "m", "12"), prepared_of(12, "0"),
+                       commit_of(12),
+                       begin_of(11), write_of(11, "n", "11"), prepared_of(11, "0"),
+                       commit_of(11),
+                       begin_of(13), write_of(13, "o", "13"),
+                       begin_of(14)});
+  KvStore store(wal_path);
+  EXPECT_EQ(store.snapshot(), (std::map<std::string, std::string>{
+                                  {"l", "11"}, {"m", "12"}, {"n", "11"}}));
+  EXPECT_TRUE(store.in_doubt().empty());
+  EXPECT_EQ(store.locks().locked_count(), 0u);
+  EXPECT_EQ(store.survey().txns.at(11), survey_txn(ShardTxnStatus::kCommitted, {0}));
+  EXPECT_EQ(store.survey().txns.at(13), survey_txn(ShardTxnStatus::kStagedOnly));
+  EXPECT_EQ(store.survey().txns.at(14), survey_txn(ShardTxnStatus::kStagedOnly));
+  expect_survey_matches_disk(store);
+  // A leftover id can prepare afresh: nothing of it stayed staged.
+  EXPECT_TRUE(store.prepare(13, {{"p", "13"}}, {0}));
+}
+
+TEST(KvReplay, SealsAndATornTailFoldIntoTheSurveyOnly) {
+  // Seals reach only the survey, merged per batch; a torn final frame is
+  // cut, and everything before it stands.
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  const std::vector<WalRecord> intact = {
+      snapshot_of("s", "0"),
+      begin_of(20), write_of(20, "s", "20"), prepared_of(20, "0,1"),
+      seal_of(20, "20,21"),
+      begin_of(21), write_of(21, "t", "21"), prepared_of(21, "0"),
+      seal_of(20, "21,22"), commit_of(20)};
+  std::vector<uint8_t> torn = frame_bytes(static_cast<uint8_t>(WalRecordType::kCommit), 21);
+  torn.resize(torn.size() - 1);
+  write_log(wal_path, intact, torn);
+  const auto intact_size = frames_of(intact).size();
+  KvStore store(wal_path);
+  EXPECT_EQ(fs::file_size(wal_path), intact_size);
+  EXPECT_EQ(store.snapshot(), (std::map<std::string, std::string>{{"s", "20"}}));
+  EXPECT_EQ(store.in_doubt(), std::vector<TxnId>{21});
+  EXPECT_EQ(store.survey().seals,
+            (std::map<int64_t, std::vector<TxnId>>{{20, {20, 21, 22}}}));
+  EXPECT_EQ(store.survey().txns.at(21), survey_txn(ShardTxnStatus::kPrepared, {0}));
+  expect_survey_matches_disk(store);
+}
+
+/// The fold the cursor replaced, one record at a time: the reference the
+/// randomized equivalence test below checks opens against.
+struct ReferenceReplay {
+  struct Staged {
+    std::vector<KvWrite> writes;
+    bool prepared = false;
+  };
+  std::map<std::string, std::string> data;
+  std::map<TxnId, Staged> staged;
+
+  void fold(const WalRecord& record) {
+    switch (record.type) {
+      case WalRecordType::kBegin: staged[record.txn_id]; break;
+      case WalRecordType::kWrite:
+        staged[record.txn_id].writes.push_back({record.key, record.value});
+        break;
+      case WalRecordType::kPrepared: staged[record.txn_id].prepared = true; break;
+      case WalRecordType::kCommit: {
+        const auto it = staged.find(record.txn_id);
+        if (it == staged.end()) break;
+        for (const auto& write : it->second.writes) data[write.key] = write.value;
+        staged.erase(it);
+        break;
+      }
+      case WalRecordType::kAbort: staged.erase(record.txn_id); break;
+      case WalRecordType::kSnapshot: data[record.key] = record.value; break;
+      case WalRecordType::kBatchSeal: break;
+    }
+  }
+};
+
+TEST(KvReplay, RandomInterleavedLogsMatchTheRecordByRecordFold) {
+  // Random logs of runs that interleave, repeat, abort and reuse ids, over a
+  // small key space: every open must reach the reference fold's state and
+  // in-doubt set, and a survey equal to the log's from-disk view.
+  TempDir dir;
+  const auto wal_path = dir.path() / "kv.wal";
+  RandomTape rng(23);
+  int checked = 0;
+  for (int round = 0; round < 300; ++round) {
+    std::vector<WalRecord> records;
+    const auto txn_count = static_cast<TxnId>(2 + rng.next_below(6));
+    for (int i = 0, n = 4 + static_cast<int>(rng.next_below(40)); i < n; ++i) {
+      const TxnId txn = 1 + static_cast<TxnId>(rng.next_below(static_cast<uint64_t>(txn_count)));
+      const std::string key = "k" + std::to_string(rng.next_below(6));
+      const std::string value = std::to_string(i);
+      switch (rng.next_below(9)) {
+        case 0: records.push_back(begin_of(txn)); break;
+        case 1: case 2: case 3: records.push_back(write_of(txn, key, value)); break;
+        case 4:
+          records.push_back(prepared_of(txn, rng.next_below(2) == 0 ? "" : "0," + std::to_string(txn)));
+          break;
+        case 5: case 6: records.push_back(commit_of(txn)); break;
+        case 7: records.push_back(rng.next_below(2) == 0 ? abort_of(txn) : snapshot_of(key, value)); break;
+        default: records.push_back(seal_of(txn, std::to_string(txn))); break;
+      }
+      // A run: the same transaction's next record, now and then.
+      if (rng.next_below(2) == 0 && !records.empty() && records.back().type == WalRecordType::kWrite) {
+        records.push_back(write_of(txn, key + "x", value));
+      }
+    }
+    ReferenceReplay reference;
+    for (const auto& record : records) reference.fold(record);
+    std::erase_if(reference.staged, [](const auto& entry) { return !entry.second.prepared; });
+    // In-doubt transactions sharing a key cannot be reopened (the lock
+    // re-acquisition refuses them); the open must say so rather than guess.
+    std::map<std::string, TxnId> holders;
+    bool conflict = false;
+    for (const auto& [txn, staged] : reference.staged) {
+      for (const auto& write : staged.writes) {
+        const auto [it, inserted] = holders.emplace(write.key, txn);
+        conflict = conflict || (!inserted && it->second != txn);
+      }
+    }
+    write_log(wal_path, records);
+    SCOPED_TRACE("round " + std::to_string(round));
+    if (conflict) {
+      EXPECT_THROW(KvStore{wal_path}, CheckFailure);
+      continue;
+    }
+    KvStore store(wal_path);
+    ASSERT_EQ(store.snapshot(), reference.data);
+    std::vector<TxnId> in_doubt;
+    for (const auto& [txn, staged] : reference.staged) in_doubt.push_back(txn);
+    ASSERT_EQ(store.in_doubt(), in_doubt);
+    expect_survey_matches_disk(store);
+    // The staged writes survived the open intact: committing every in-doubt
+    // transaction lands where the reference lands.
+    for (const TxnId txn : in_doubt) {
+      store.commit(txn);
+      reference.fold(commit_of(txn));
+    }
+    ASSERT_EQ(store.snapshot(), reference.data);
+    ++checked;
+  }
+  EXPECT_GT(checked, 150);
 }
 
 TEST(Kv, RandomHistoryMatchesReferenceModel) {

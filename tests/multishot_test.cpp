@@ -103,6 +103,40 @@ TEST_F(MultiShotFixture, EngineAllocatedIdsAreUniqueAcrossShards) {
   }
 }
 
+TEST_F(MultiShotFixture, ReopenedEngineNeverReallocatesALoggedId) {
+  // An earlier incarnation aborted make_txn_id(0, 1) on both shards; an
+  // engine reopened over its logs must allocate past that id, or shard 0's
+  // log would hold an ABORT and a COMMIT for one id.
+  MultiShotDb::Options opts = options("reopen");
+  opts.shard_count = 2;
+  fs::create_directories(opts.data_dir);
+  const TxnId first = make_txn_id(0, 1);
+  const auto wal_path = [&](int32_t shard) {
+    return opts.data_dir / ("shard-" + std::to_string(shard) + ".wal");
+  };
+  for (int32_t shard = 0; shard < 2; ++shard) {
+    KvStore store(wal_path(shard));
+    ASSERT_TRUE(store.prepare(first, {{"old" + std::to_string(shard), "v"}}, {0, 1}));
+    store.abort(first);
+  }
+
+  MultiShotDb database(opts);
+  ASSERT_EQ(database.execute(0, {{0, {{"a", "1"}}}, {1, {{"b", "1"}}}}).decision,
+            Decision::kCommit);
+  for (int32_t shard = 0; shard < 2; ++shard) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    std::map<TxnId, std::set<WalRecordType>> outcomes;
+    scan_wal(wal_path(shard), [&outcomes](WalRecord&& record) {
+      if (record.type == WalRecordType::kCommit || record.type == WalRecordType::kAbort) {
+        outcomes[record.txn_id].insert(record.type);
+      }
+    });
+    EXPECT_EQ(outcomes, (std::map<TxnId, std::set<WalRecordType>>{
+                            {first, {WalRecordType::kAbort}},
+                            {make_txn_id(0, 2), {WalRecordType::kCommit}}}));
+  }
+}
+
 TEST_F(MultiShotFixture, LiveSurveysMatchTheLogsOnDisk) {
   // A database that is never reopened: group commit, sealed decision
   // batches, lock-conflict aborts, plus one instance left in doubt. Every
